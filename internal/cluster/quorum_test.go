@@ -194,6 +194,21 @@ func TestReadRepair(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	// Put returns at W=2 acks, so the write to this replica may still be
+	// in flight; overwrite only after it has landed, or it would undo the
+	// corruption and leave nothing to repair.
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		raw, err := c.Get(ctx, key)
+		if err == nil {
+			if rec, err := decodeRecord(raw); err == nil && string(rec.Value) == "new" {
+				break
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the Put never reached the replica to be corrupted")
+		}
+		time.Sleep(time.Millisecond)
+	}
 	if err := c.Put(ctx, key, Record{Version: 1, Value: []byte("old")}.Encode()); err != nil {
 		t.Fatal(err)
 	}

@@ -484,6 +484,19 @@ func (rt *Router) quorumWrite(ctx context.Context, ops []repOp) error {
 	if len(ops) == 0 {
 		return nil
 	}
+	// The replica goroutines outlive this call, which returns at W acks,
+	// so they must not hold the caller's key slices: a caller may reuse
+	// its buffer (or kv.Batch) as soon as the write returns. The records
+	// are freshly encoded already; copy the keys once, into one arena.
+	size := 0
+	for _, op := range ops {
+		size += len(op.key)
+	}
+	arena := make([]byte, 0, size)
+	for i := range ops {
+		arena = append(arena, ops[i].key...)
+		ops[i].key = arena[len(arena)-len(ops[i].key) : len(arena) : len(arena)]
+	}
 	need := make([]int, len(ops)) // effective W per op
 	capacity := make([]int, len(ops))
 	attempt := make(map[string][]int) // node -> op indexes to attempt

@@ -22,31 +22,67 @@ var ErrNotFound = kverr.ErrNotFound
 // or poisoned by a cancelled request.
 var ErrClientClosed = errors.New("kvnet: client closed")
 
-// Client is a connection to one server. It is safe for concurrent use;
-// requests are serialized over the single connection.
+// Client is a connection to one server. It is safe for concurrent use and
+// pipelines: many requests may be in flight on the one connection at
+// once, and the server answers them in the order they were sent (as in
+// HTTP/1.1 pipelining; the wire format carries no request tags).
 //
-// Requests are not multiplexed: a context that expires mid-request leaves
-// the connection with an unread (or half-written) frame, so the client
-// closes the connection and every later call returns ErrClientClosed.
-// Callers that need to survive cancelled requests re-dial — the public kv
-// façade does this transparently.
+// A caller encodes its frame, appends it to the connection's write buffer
+// under a short write lock and then waits for its own response. The last
+// caller queued for the write lock flushes, so frames that arrive
+// together share one write syscall; nothing ever waits for more frames to
+// arrive. Responses are read by whichever waiting caller holds the read
+// lock: it hands the frames before its own to their callers in FIFO order
+// and stops at its own, so a lone request costs no goroutine switch.
+//
+// Cancellation: a caller whose context ends stops waiting at once. If its
+// frame has not reached the write buffer, the request simply never
+// happens and the connection stays usable. If it has, the frame stream
+// can no longer be matched up, so the client closes the connection: the
+// other in-flight calls fail with ErrClientClosed, as does every later
+// call. Callers that need to survive cancelled requests re-dial — the
+// public kv façade and the cluster router do this transparently.
 type Client struct {
-	mu   sync.Mutex // serializes requests; never held by Close
 	conn net.Conn
-	r    *bufio.Reader
-	w    *bufio.Writer
-	// closed marks a connection torn down by Close or poisoned by a
-	// transport failure; the client is unusable afterwards. It is atomic —
-	// not guarded by mu — so Close can tear down a connection wedged in a
-	// blocking read (conn.Close fails the in-flight I/O) without waiting
-	// for the request holding mu to finish.
-	closed atomic.Bool
 
-	// dlMu guards deadline generation bookkeeping between a request and
-	// the context watcher that force-expires its connection deadline.
-	dlMu  sync.Mutex
-	dlGen uint64
+	// wlock is the write lock, a one-slot semaphore so that a caller
+	// queued for it can give up when its context ends. It guards w.
+	wlock chan struct{}
+	w     *bufio.Writer
+	// queued counts callers that have asked for wlock and not yet
+	// written their frame. The holder flushes only when it is the last.
+	queued atomic.Int32
+
+	// rlock is the read lock, taken by a waiting caller to read
+	// responses; it guards r.
+	rlock chan struct{}
+	r     *bufio.Reader
+
+	// closed is set once the connection is closed or poisoned; done is
+	// closed at the same moment, waking every waiting caller.
+	closed atomic.Bool
+	done   chan struct{}
+
+	mu      sync.Mutex
+	pending []*call // calls whose frames were written, oldest first
 }
+
+// call is one request awaiting its response. Whoever removes it from
+// Client.pending sets payload or err; unless that is the call's own
+// caller reading its response, it then signals ready, exactly once.
+type call struct {
+	ready   chan struct{} // buffered 1
+	payload []byte
+	err     error
+}
+
+// frames recycles the buffers requests are encoded into before they are
+// copied into the connection's write buffer.
+var frames = sync.Pool{New: func() any { return new([]byte) }}
+
+// maxPooledFrame caps the buffers frames keeps, so one huge request does
+// not pin its buffer.
+const maxPooledFrame = 64 << 10
 
 // Dial connects to a server at addr.
 func Dial(addr string) (*Client, error) {
@@ -60,18 +96,21 @@ func Dial(addr string) (*Client, error) {
 // NewClient wraps an established connection (useful with net.Pipe in
 // tests).
 func NewClient(conn net.Conn) *Client {
-	return &Client{conn: conn, r: bufio.NewReader(conn), w: bufio.NewWriter(conn)}
+	return &Client{
+		conn:  conn,
+		wlock: make(chan struct{}, 1),
+		w:     bufio.NewWriter(conn),
+		rlock: make(chan struct{}, 1),
+		r:     bufio.NewReader(conn),
+		done:  make(chan struct{}),
+	}
 }
 
-// Close closes the connection. It deliberately does not take the request
-// lock: a request blocked mid-read against a dead peer holds that lock,
-// and closing the connection out from under it is exactly what unblocks
-// it.
+// Close closes the connection and fails every pending call with
+// ErrClientClosed. It takes no lock a request can hold across I/O, so it
+// also tears down a connection wedged in a blocked write or read.
 func (c *Client) Close() error {
-	if !c.closed.CompareAndSwap(false, true) {
-		return nil
-	}
-	return c.conn.Close()
+	return c.fail(ErrClientClosed)
 }
 
 // Healthy reports whether the client's connection is still usable: not
@@ -80,83 +119,57 @@ func (c *Client) Healthy() bool {
 	return !c.closed.Load()
 }
 
-// armDeadline points the connection deadline at ctx: the context's
-// deadline if it has one, cleared otherwise, and — for cancellable
-// contexts — a watcher that yanks the deadline to the past the moment ctx
-// is cancelled, failing the in-flight read or write promptly. The returned
-// stop func must be called when the request finishes; the generation
-// counter keeps a late-firing watcher from clobbering a later request's
-// deadline.
-func (c *Client) armDeadline(ctx context.Context) (stop func()) {
-	c.dlMu.Lock()
-	c.dlGen++
-	gen := c.dlGen
-	if dl, ok := ctx.Deadline(); ok {
-		c.conn.SetDeadline(dl)
-	} else {
-		c.conn.SetDeadline(time.Time{})
+// fail marks the connection unusable, closes it and hands err to every
+// pending call. The first failure wins; later ones are no-ops. It returns
+// the error of closing the connection, nil when it was already closed.
+func (c *Client) fail(err error) error {
+	c.mu.Lock()
+	if c.closed.Load() {
+		c.mu.Unlock()
+		return nil
 	}
-	c.dlMu.Unlock()
-	if ctx.Done() == nil {
-		return func() {}
+	c.closed.Store(true)
+	close(c.done)
+	pending := c.pending
+	c.pending = nil
+	c.mu.Unlock()
+	closeErr := c.conn.Close()
+	for _, cl := range pending {
+		cl.err = err
+		cl.ready <- struct{}{}
 	}
-	cancel := context.AfterFunc(ctx, func() {
-		c.dlMu.Lock()
-		defer c.dlMu.Unlock()
-		if c.dlGen == gen {
-			c.conn.SetDeadline(time.Now())
-		}
-	})
-	return func() { cancel() }
+	return closeErr
 }
 
-// roundTrip sends one request and reads one response, with the connection
-// deadline derived from ctx so a dead peer (or a cancelled caller) cannot
-// wedge the call forever.
+// roundTrip sends one request and waits for its response; see Client for
+// what happens when ctx ends on the way.
 func (c *Client) roundTrip(ctx context.Context, req Request) (Response, error) {
 	if err := ctx.Err(); err != nil {
 		return Response{}, err
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if c.closed.Load() {
 		return Response{}, ErrClientClosed
 	}
-	if err := ctx.Err(); err != nil {
-		// The context expired while this request was queued behind others
-		// on the shared connection. Nothing has touched the wire, so the
-		// frame stream is still synchronized: fail the request but leave
-		// the connection healthy for the requests behind it. Poisoning
-		// here would cascade one slow burst into a redial storm and
-		// false-positive down verdicts for a perfectly live node.
-		return Response{}, fmt.Errorf("kvnet: request aborted: %w", err)
-	}
-	stop := c.armDeadline(ctx)
-	defer stop()
-	payload, err := c.exchange(req)
-	if err != nil {
-		if c.closed.Load() {
-			// Close raced in and failed the I/O on purpose.
-			return Response{}, ErrClientClosed
-		}
-		// The frame stream is now unsynchronized: poison the connection.
-		c.closed.Store(true)
-		c.conn.Close()
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			return Response{}, fmt.Errorf("kvnet: request aborted: %w", ctxErr)
-		}
-		// A connection timeout can race the context's own timer: the only
-		// deadlines armed on this connection come from ctx, so a timeout
-		// here with a ctx deadline in the past is that deadline firing.
-		var netErr net.Error
-		if errors.As(err, &netErr) && netErr.Timeout() {
-			if dl, ok := ctx.Deadline(); ok && !time.Now().Before(dl) {
-				return Response{}, fmt.Errorf("kvnet: request aborted: %w", context.DeadlineExceeded)
-			}
-		}
+	buf := frames.Get().(*[]byte)
+	frame := appendRequest(frameStart((*buf)[:0]), req)
+	if err := sealFrame(frame); err != nil {
 		return Response{}, err
 	}
-	resp, err := DecodeResponse(payload)
+	cl := &call{ready: make(chan struct{}, 1)}
+	stop, err := c.send(ctx, cl, frame)
+	if cap(frame) <= maxPooledFrame {
+		*buf = frame
+		frames.Put(buf)
+	}
+	if err != nil {
+		return Response{}, err
+	}
+	err = c.await(ctx, cl)
+	stop()
+	if err != nil {
+		return Response{}, err
+	}
+	resp, err := DecodeResponse(cl.payload)
 	if err != nil {
 		return Response{}, err
 	}
@@ -166,15 +179,158 @@ func (c *Client) roundTrip(ctx context.Context, req Request) (Response, error) {
 	return resp, nil
 }
 
-// exchange writes one frame and reads one back; the caller holds c.mu.
-func (c *Client) exchange(req Request) ([]byte, error) {
-	if err := writeFrame(c.w, EncodeRequest(req)); err != nil {
+// send writes frame, cl's request. It queues for the write lock, gives
+// up with the connection intact if ctx ends first, and flushes unless
+// another caller is queued to write after it. Once the frame is part of
+// the stream, abandoning it means closing the connection: send arms a
+// watcher that does so when ctx ends, which also releases a write or read
+// blocked on a peer that stopped talking. The returned stop disarms it.
+func (c *Client) send(ctx context.Context, cl *call, frame []byte) (stop func() bool, err error) {
+	c.queued.Add(1)
+	select {
+	case c.wlock <- struct{}{}:
+	case <-ctx.Done():
+		c.leaveQueue()
+		return nil, aborted(ctx)
+	case <-c.done:
+		c.leaveQueue()
+		return nil, ErrClientClosed
+	}
+	if ctx.Err() != nil {
+		// The lock and the deadline came due together; nothing is written.
+		<-c.wlock
+		c.leaveQueue()
+		return nil, aborted(ctx)
+	}
+	c.mu.Lock()
+	if c.closed.Load() {
+		c.mu.Unlock()
+		<-c.wlock
+		c.queued.Add(-1)
+		return nil, ErrClientClosed
+	}
+	c.pending = append(c.pending, cl)
+	c.mu.Unlock()
+
+	stop = func() bool { return true }
+	if ctx.Done() != nil {
+		stop = context.AfterFunc(ctx, func() { c.fail(ErrClientClosed) })
+	}
+	_, err = c.w.Write(frame)
+	if c.queued.Add(-1) == 0 && err == nil {
+		err = c.w.Flush()
+	}
+	<-c.wlock
+	if err != nil {
+		stop()
+		switch {
+		case ctx.Err() != nil:
+			c.fail(ErrClientClosed)
+			return nil, aborted(ctx)
+		case c.closed.Load():
+			return nil, ErrClientClosed // Close raced in and failed the write on purpose
+		}
+		c.fail(err)
 		return nil, err
 	}
-	if err := c.w.Flush(); err != nil {
-		return nil, err
+	return stop, nil
+}
+
+// await waits until cl is answered, reading responses itself whenever no
+// other caller is. If ctx ends first, it abandons the request and closes
+// the connection.
+func (c *Client) await(ctx context.Context, cl *call) error {
+	for {
+		select {
+		case <-cl.ready:
+			if cl.err != nil && ctx.Err() != nil {
+				return aborted(ctx) // the watcher closed the connection
+			}
+			return cl.err
+		case c.rlock <- struct{}{}:
+			own := c.readFor(cl)
+			<-c.rlock
+			if own {
+				return nil
+			}
+		case <-ctx.Done():
+			select {
+			case <-cl.ready: // the response may have won the race
+			default:
+				c.fail(ErrClientClosed)
+				<-cl.ready // fail answered cl, or the reader that took it is about to
+			}
+			if cl.err != nil {
+				return aborted(ctx)
+			}
+			return nil
+		}
 	}
-	return readFrame(c.r)
+}
+
+// readFor reads response frames, handing each to the oldest pending call,
+// until it reads cl's own (it reports true). It reports false when the
+// connection fails or cl was answered by another reader; cl.ready is
+// signalled then. The caller holds rlock.
+func (c *Client) readFor(cl *call) bool {
+	if len(cl.ready) > 0 || c.closed.Load() {
+		return false
+	}
+	for {
+		payload, err := readFrame(c.r)
+		if err != nil {
+			c.fail(err)
+			return false
+		}
+		c.mu.Lock()
+		if len(c.pending) == 0 {
+			c.mu.Unlock()
+			c.fail(fmt.Errorf("kvnet: response with no request pending: %w", ErrProtocol))
+			return false
+		}
+		// Shift rather than reslice, so the queue reuses one array.
+		head := c.pending[0]
+		n := copy(c.pending, c.pending[1:])
+		c.pending[n] = nil
+		c.pending = c.pending[:n]
+		c.mu.Unlock()
+		head.payload = payload
+		if head == cl {
+			return true
+		}
+		head.ready <- struct{}{}
+	}
+}
+
+// leaveQueue withdraws a caller that will not write after all. If it was
+// the last one queued, the holders before it left their frames in the
+// buffer for it to flush; a goroutine flushes them once the lock is free.
+// It exits after that flush, or at once when the connection fails.
+func (c *Client) leaveQueue() {
+	if c.queued.Add(-1) == 0 {
+		go c.flushStranded()
+	}
+}
+
+func (c *Client) flushStranded() {
+	select {
+	case c.wlock <- struct{}{}:
+	case <-c.done:
+		return
+	}
+	var err error
+	if c.queued.Load() == 0 && c.w.Buffered() > 0 {
+		err = c.w.Flush()
+	}
+	<-c.wlock
+	if err != nil {
+		c.fail(err)
+	}
+}
+
+// aborted is the error of a request given up because ctx ended.
+func aborted(ctx context.Context) error {
+	return fmt.Errorf("kvnet: request aborted: %w", ctx.Err())
 }
 
 // decodeServerError maps a wire error code back to the canonical sentinel

@@ -165,18 +165,21 @@ type Response struct {
 	Stats   *StatsInfo
 }
 
-// writeFrame writes one length-prefixed payload.
-func writeFrame(w io.Writer, payload []byte) error {
-	if len(payload) > MaxMessageSize {
+// frameStart opens a frame at the end of dst: it appends room for the
+// length prefix, after which the caller appends the payload and calls
+// sealFrame. Encoding a frame in place this way, into a reused buffer,
+// costs no allocation.
+func frameStart(dst []byte) []byte { return append(dst, 0, 0, 0, 0) }
+
+// sealFrame fills in the length prefix of the frame that starts at
+// frame[0], rejecting a payload over MaxMessageSize.
+func sealFrame(frame []byte) error {
+	n := len(frame) - 4
+	if n > MaxMessageSize {
 		return ErrTooLarge
 	}
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
+	binary.LittleEndian.PutUint32(frame, uint32(n))
+	return nil
 }
 
 // readFrame reads one length-prefixed payload.
@@ -219,8 +222,11 @@ func readUvarint(buf []byte) (uint64, []byte, error) {
 }
 
 // EncodeRequest serializes req into a frame payload.
-func EncodeRequest(req Request) []byte {
-	out := []byte{byte(req.Op)}
+func EncodeRequest(req Request) []byte { return appendRequest(nil, req) }
+
+// appendRequest appends req's frame payload to out.
+func appendRequest(out []byte, req Request) []byte {
+	out = append(out, byte(req.Op))
 	switch req.Op {
 	case OpPut:
 		out = appendBytes(out, req.Key)
@@ -357,8 +363,11 @@ func DecodeRequest(buf []byte) (Request, error) {
 }
 
 // EncodeResponse serializes resp into a frame payload.
-func EncodeResponse(resp Response) []byte {
-	out := []byte{byte(resp.Status)}
+func EncodeResponse(resp Response) []byte { return appendResponse(nil, resp) }
+
+// appendResponse appends resp's frame payload to out.
+func appendResponse(out []byte, resp Response) []byte {
+	out = append(out, byte(resp.Status))
 	switch resp.Status {
 	case StatusError:
 		out = append(out, byte(resp.Code))

@@ -3,6 +3,7 @@ package kvnet
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -39,7 +40,8 @@ const (
 
 // Server serves one storage engine to many concurrent connections.
 // Connection handling is one goroutine per connection; the engine provides
-// its own synchronization.
+// its own synchronization. A connection's requests run one at a time and
+// are answered in order, so a client may pipeline them.
 type Server struct {
 	db Engine
 
@@ -48,9 +50,9 @@ type Server struct {
 	// died without closing its socket is reaped instead of pinning a
 	// handler goroutine forever. Zero disables. Set before Serve.
 	IdleTimeout time.Duration
-	// WriteTimeout bounds writing one response; a peer that stopped
-	// reading cannot wedge a handler in a blocked send. Zero disables.
-	// Set before Serve.
+	// WriteTimeout bounds writing out the responses a connection owes;
+	// a peer that stopped reading cannot wedge a handler in a blocked
+	// send. Zero disables. Set before Serve.
 	WriteTimeout time.Duration
 
 	// baseCtx is cancelled by Close; every request executes under it, so
@@ -158,13 +160,39 @@ func (s *Server) handle(conn net.Conn) {
 		if s.WriteTimeout > 0 {
 			conn.SetWriteDeadline(time.Now().Add(s.WriteTimeout))
 		}
-		if err := writeFrame(w, EncodeResponse(resp)); err != nil {
+		frame := appendResponse(frameStart(w.AvailableBuffer()), resp)
+		if err := sealFrame(frame); err != nil {
 			return
+		}
+		if _, err := w.Write(frame); err != nil {
+			return
+		}
+		if nextReady(r) {
+			continue // this response goes out with the next one's
 		}
 		if err := w.Flush(); err != nil {
 			return
 		}
 	}
+}
+
+// nextReady reports whether the response just written may wait in the
+// buffer for the next one: the next request is already read in full and
+// cannot block. A pipelining client sends requests back to back, so
+// their responses then share one write syscall; anything that can stall
+// (a write under backpressure, a scan, a flush, a compaction) or has not
+// fully arrived gets the owed responses flushed ahead of it.
+func nextReady(r *bufio.Reader) bool {
+	if r.Buffered() < 5 {
+		return false
+	}
+	hdr, _ := r.Peek(5)
+	n := int(binary.LittleEndian.Uint32(hdr))
+	if n < 1 || r.Buffered() < 4+n {
+		return false
+	}
+	op := Op(hdr[4])
+	return op == OpGet || op == OpPing
 }
 
 // errResponse maps an engine error onto the wire: not-found becomes its

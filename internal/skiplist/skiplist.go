@@ -79,11 +79,17 @@ func (l *List) randomHeight() int {
 
 // findGreaterOrEqual locates the first node with key >= target and fills
 // prev with the rightmost node before it at every level.
+//
+// It returns the level-0 successor it compared, not a fresh load of
+// x.next[0]: a concurrent Set may link a smaller key right after x once
+// the comparison is done, and re-loading would hand the caller that node
+// instead of the one holding key, so a present key would read as absent.
 func (l *List) findGreaterOrEqual(key []byte, prev *[maxHeight]*node) *node {
 	x := l.head
+	var nx *node
 	for level := int(l.height.Load()) - 1; level >= 0; level-- {
 		for {
-			nx := x.loadNext(level)
+			nx = x.loadNext(level)
 			if nx == nil || bytes.Compare(nx.key, key) >= 0 {
 				break
 			}
@@ -93,7 +99,7 @@ func (l *List) findGreaterOrEqual(key []byte, prev *[maxHeight]*node) *node {
 			prev[level] = x
 		}
 	}
-	return x.loadNext(0)
+	return nx
 }
 
 // Set inserts key → value, replacing any existing value for key. The key

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -169,5 +170,42 @@ func BenchmarkGet(b *testing.B) {
 		if _, ok := l.Get(k); !ok {
 			b.Fatal("missing key")
 		}
+	}
+}
+
+// TestGetSeesPresentKeyDuringConcurrentInsert: a writer links keys
+// immediately in front of a present key while a reader Gets that key.
+// Every Get must find it; a search that re-reads the level-0 link after
+// comparing would return the freshly linked smaller node and miss.
+func TestGetSeesPresentKeyDuringConcurrentInsert(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		t.Skip("needs a writer and a reader running in parallel")
+	}
+	l := New(1)
+	present := []byte("k1")
+	l.Set(present, []byte("v"))
+	const inserts = 200000
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < inserts; i++ {
+			// Ascending keys below "k1": each one links right before it.
+			l.Set([]byte(fmt.Sprintf("k0%08d", i)), nil)
+		}
+	}()
+	misses, gets := 0, 0
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		if _, ok := l.Get(present); !ok {
+			misses++
+		}
+		gets++
+	}
+	if misses > 0 {
+		t.Fatalf("Get missed a present key %d times in %d Gets", misses, gets)
 	}
 }

@@ -55,10 +55,24 @@ func openRemote(t *testing.T, opts ...Option) Engine {
 // engines, mirroring openRemote.
 func openClusterEngine(t *testing.T, opts ...Option) Engine {
 	t.Helper()
-	addrs := make([]string, 3)
+	_, addrs := serveClusterNodes(t, opts...)
+	eng, err := DialCluster(addrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { eng.Close() })
+	return eng
+}
+
+// serveClusterNodes serves three local engines on loopback listeners and
+// returns the engines and their addresses.
+func serveClusterNodes(t *testing.T, opts ...Option) (backing []Engine, addrs []string) {
+	t.Helper()
+	backing = make([]Engine, 3)
+	addrs = make([]string, 3)
 	for i := range addrs {
-		backing := openLocal(t, 1, opts...)
-		srv, err := NewServer(backing)
+		backing[i] = openLocal(t, 1, opts...)
+		srv, err := NewServer(backing[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,12 +84,7 @@ func openClusterEngine(t *testing.T, opts ...Option) Engine {
 		t.Cleanup(func() { srv.Close() })
 		addrs[i] = ln.Addr().String()
 	}
-	eng, err := DialCluster(addrs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { eng.Close() })
-	return eng
+	return backing, addrs
 }
 
 func backendCases() []backendCase {

@@ -64,9 +64,10 @@ func Open(dir string, opts ...Option) (Engine, error) {
 
 // Dial connects to a server at addr (see NewServer and cmd/lsmserver) and
 // returns an Engine speaking the kvnet protocol to it. The remote engine
-// serializes requests over one connection; a request cancelled mid-flight
-// poisons that connection and the engine transparently re-dials on the
-// next operation.
+// pipelines concurrent requests over one connection; a request cancelled
+// after it reached the connection closes it (the other requests in flight
+// on it fail too) and the engine transparently re-dials on the next
+// operation.
 func Dial(addr string, opts ...Option) (Engine, error) {
 	cfg := defaultConfig(entryDial)
 	for _, opt := range opts {

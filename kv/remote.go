@@ -18,9 +18,10 @@ import (
 const remotePageSize = 512
 
 // remoteEngine speaks the kvnet protocol to one server. The underlying
-// client serializes requests over a single connection and a cancelled
-// request poisons that connection (the frame stream loses sync), so the
-// engine transparently re-dials on the next operation.
+// client pipelines requests over a single connection, and a request
+// cancelled after it reached the connection closes it (the response
+// stream can no longer be matched up), so the engine transparently
+// re-dials on the next operation.
 type remoteEngine struct {
 	addr   string
 	cfg    config
@@ -75,7 +76,7 @@ func (e *remoteEngine) client() (*kvnet.Client, error) {
 	}
 	if e.c != nil && e.c.Healthy() {
 		// Another goroutine finished its re-dial first; adopt its
-		// connection so requests keep serializing over one conn.
+		// connection so requests keep sharing one conn.
 		c.Close()
 		return e.c, nil
 	}

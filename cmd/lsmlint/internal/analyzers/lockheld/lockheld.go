@@ -1,14 +1,15 @@
 // Package lockheld flags blocking operations — fsync, time.Sleep, channel
 // sends/receives, blocking selects, network I/O — performed while db.mu or
-// applyMu is held. Those two locks sit on the engine's read/apply hot
-// paths (PRs 1–2 moved every fsync off them; PR 5 made reads lock-free),
-// so one blocking call slipped under them silently reintroduces the
-// 220ms-p99 stalls the refactors removed. The analysis is lexical and
+// applyMu is held. Those two locks sit on the engine's write/apply hot
+// paths (reads are lock-free), so one blocking call slipped under them
+// stalls every writer behind it. The analysis is lexical and
 // intra-procedural: it tracks Lock/Unlock pairs of fields named mu and
 // applyMu through straight-line code and branches, treating a deferred
 // Unlock as held-until-return. sync.Cond.Wait is exempt (it releases the
 // lock internally), as is a select with a default clause (non-blocking by
-// construction).
+// construction). A callee that blocks is not seen: flush, inline minor
+// compaction and every manifest save still fsync under db.mu inside
+// *Locked helpers, which this check does not flag.
 package lockheld
 
 import (

@@ -130,9 +130,8 @@ func BenchmarkGetMixed(b *testing.B) {
 // major compaction is running — the motivating number for the non-blocking
 // design. For each iteration it builds a store with overlapping sstables,
 // starts a major compaction in another goroutine, and samples Get latency
-// until the compaction finishes. The blocking mode holds the store lock
-// for the whole merge, so its p99 approaches the compaction duration; the
-// background mode's p99 stays at ordinary read latency.
+// until the compaction finishes. The compaction merges off-lock and
+// reads never take the store lock, so p99 stays at ordinary read latency.
 //
 // Run with:
 //
@@ -145,70 +144,63 @@ func BenchmarkGetDuringMajorCompaction(b *testing.B) {
 		valueBytes  = 256
 		sampleEvery = 50 * time.Microsecond
 	)
-	for _, mode := range []string{"blocking", "background"} {
-		b.Run("mode="+mode, func(b *testing.B) {
-			var all []time.Duration
-			var compactTotal time.Duration
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				db := benchDB(b, Options{})
-				val := bytes.Repeat([]byte("v"), valueBytes)
-				for tab := 0; tab < tables; tab++ {
-					for j := 0; j < keysPer; j++ {
-						key := fmt.Sprintf("key-%06d", (tab*2711+j*7)%keyspace)
-						if err := db.Put([]byte(key), val); err != nil {
-							b.Fatal(err)
-						}
-					}
-					if err := db.Flush(); err != nil {
+	b.Run("mode=background", func(b *testing.B) {
+		var all []time.Duration
+		var compactTotal time.Duration
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			db := benchDB(b, Options{})
+			val := bytes.Repeat([]byte("v"), valueBytes)
+			for tab := 0; tab < tables; tab++ {
+				for j := 0; j < keysPer; j++ {
+					key := fmt.Sprintf("key-%06d", (tab*2711+j*7)%keyspace)
+					if err := db.Put([]byte(key), val); err != nil {
 						b.Fatal(err)
 					}
 				}
-				b.StartTimer()
-
-				done := make(chan error, 1)
-				go func() {
-					var err error
-					if mode == "blocking" {
-						_, err = db.MajorCompactBlocking("BT(I)", 4, int64(i))
-					} else {
-						_, err = db.MajorCompact("BT(I)", 4, int64(i))
-					}
-					done <- err
-				}()
-
-				compactStart := time.Now()
-				sampling := true
-				for sampling {
-					select {
-					case err := <-done:
-						if err != nil {
-							b.Fatal(err)
-						}
-						sampling = false
-					default:
-						key := fmt.Sprintf("key-%06d", len(all)*131%keyspace)
-						t0 := time.Now()
-						if _, err := db.Get([]byte(key)); err != nil && err != ErrNotFound {
-							b.Fatal(err)
-						}
-						all = append(all, time.Since(t0))
-						time.Sleep(sampleEvery)
-					}
+				if err := db.Flush(); err != nil {
+					b.Fatal(err)
 				}
-				compactTotal += time.Since(compactStart)
 			}
-			if len(all) == 0 {
-				b.Fatal("no Get completed while compaction ran: reads were fully blocked")
+			b.StartTimer()
+
+			done := make(chan error, 1)
+			go func() {
+				_, err := db.MajorCompact("BT(I)", 4, int64(i))
+				done <- err
+			}()
+
+			compactStart := time.Now()
+			sampling := true
+			for sampling {
+				select {
+				case err := <-done:
+					if err != nil {
+						b.Fatal(err)
+					}
+					sampling = false
+				default:
+					key := fmt.Sprintf("key-%06d", len(all)*131%keyspace)
+					t0 := time.Now()
+					if _, err := db.Get([]byte(key)); err != nil && err != ErrNotFound {
+						b.Fatal(err)
+					}
+					all = append(all, time.Since(t0))
+					time.Sleep(sampleEvery)
+				}
 			}
-			sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-			p50 := all[len(all)*50/100]
-			p99 := all[min(len(all)*99/100, len(all)-1)]
-			b.ReportMetric(float64(p50.Nanoseconds()), "get-p50-ns")
-			b.ReportMetric(float64(p99.Nanoseconds()), "get-p99-ns")
-			b.ReportMetric(float64(len(all))/compactTotal.Seconds(), "gets/sec-during-compaction")
-		})
-	}
+			compactTotal += time.Since(compactStart)
+		}
+		if len(all) == 0 {
+			b.Fatal("no Get completed while compaction ran: reads were fully blocked")
+		}
+		sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
+		p50 := all[len(all)*50/100]
+		p99 := all[min(len(all)*99/100, len(all)-1)]
+		b.ReportMetric(float64(p50.Nanoseconds()), "get-p50-ns")
+		b.ReportMetric(float64(p99.Nanoseconds()), "get-p99-ns")
+		b.ReportMetric(float64(len(all))/compactTotal.Seconds(), "gets/sec-during-compaction")
+	})
 }
 
 // BenchmarkGetDuringFlush measures point-read tail latency while memtable

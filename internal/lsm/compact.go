@@ -2,8 +2,7 @@ package lsm
 
 import (
 	"fmt"
-	"path/filepath"
-	"sync"
+	"io"
 	"time"
 
 	"repro/internal/compaction"
@@ -58,9 +57,6 @@ func (db *DB) setState(s CompactionState) { db.state.Store(int32(s)) }
 type CompactionResult struct {
 	// Strategy is the chooser that scheduled the merges.
 	Strategy string
-	// Mode is "background" for a non-blocking compaction or "blocking" for
-	// one that held the store lock throughout.
-	Mode string
 	// TablesBefore is the number of sstables merged (the snapshot size).
 	TablesBefore int
 	// TablesAfter is the number of live sstables immediately after the
@@ -129,7 +125,7 @@ func (db *DB) MajorCompact(strategy string, k int, seed int64) (*CompactionResul
 		db.pipeMu.Unlock()
 		return nil, err
 	}
-	res := &CompactionResult{Strategy: strategy, Mode: "background", TablesBefore: len(db.tables)}
+	res := &CompactionResult{Strategy: strategy, TablesBefore: len(db.tables)}
 	if len(db.tables) <= 1 {
 		db.setState(CompactionIdle)
 		res.TablesAfter = len(db.tables)
@@ -180,20 +176,15 @@ func (db *DB) MajorCompact(strategy string, k int, seed int64) (*CompactionResul
 	// Merging: execute the schedule off-lock on the worker pool. Snapshot
 	// readers serve concurrent Gets and scans while the merges read them.
 	db.setState(CompactionMerging)
-	nodes, stats, err := db.executeSchedule(sched, snap, db.allocTableName)
-	created := nodes[len(snap):]
-	removeCreated := func() {
-		for _, th := range created {
-			if th != nil {
-				th.rd.Close()
-				if err := db.fs.Remove(filepath.Join(db.dir, th.name)); err != nil {
-					db.cleanupFails.Add(1)
-				}
-			}
+	nodes, stats, err := db.executeSchedule(sched, snap)
+	var created []*tableHandle
+	for _, th := range nodes[len(snap):] {
+		if th != nil {
+			created = append(created, th)
 		}
 	}
 	if err != nil {
-		removeCreated()
+		retireTables(created)
 		return abort(err)
 	}
 	for _, st := range stats {
@@ -207,22 +198,16 @@ func (db *DB) MajorCompact(strategy string, k int, seed int64) (*CompactionResul
 			// Simulated crash between merge completion and manifest swap:
 			// leave the merge outputs on disk (recovery must delete them as
 			// orphans), close their readers, and keep the old table set.
-			for _, th := range created {
-				th.rd.Close()
-			}
+			releaseTables(created)
 			return abort(err)
 		}
 	}
 
 	// Swapping: commit the root to the manifest and the live table set in
-	// a short critical section, then retire the snapshot.
+	// a short critical section, then retire the snapshot and the
+	// intermediate merge outputs, which nobody else references.
 	db.mu.Lock()
 	db.setState(CompactionSwapping)
-	if db.closed {
-		db.mu.Unlock()
-		removeCreated()
-		return abort(ErrClosed)
-	}
 	root := nodes[sched.Root.ID]
 	inSnap := make(map[*tableHandle]bool, len(snap))
 	for _, th := range snap {
@@ -237,257 +222,88 @@ func (db *DB) MajorCompact(strategy string, k int, seed int64) (*CompactionResul
 		}
 	}
 	newTables = append(newTables, root)
-	oldManTables := db.man.tables
-	db.man.tables = make([]string, len(newTables))
-	for i, th := range newTables {
-		db.man.tables[i] = th.name
+	retired := make([]*tableHandle, 0, len(nodes)-1)
+	for _, th := range nodes {
+		if th != root {
+			retired = append(retired, th)
+		}
 	}
-	db.man.recordBounds(newTables)
-	if err := db.man.save(db.fs, db.dir); err != nil {
-		// The swap's manifest rewrite failed: the old manifest may no
-		// longer be trustworthy on disk. Keep the old in-memory table set
-		// and degrade to read-only — acknowledging further writes against
-		// an unverifiable manifest risks losing them.
-		db.man.tables = oldManTables
-		db.failDurabilityLocked(err)
+	err = ErrClosed
+	if !db.closed {
+		err = db.commitTablesLocked(newTables, retired)
+	}
+	if err != nil {
 		db.mu.Unlock()
-		removeCreated()
+		retireTables(created)
 		return abort(err)
 	}
-	db.tables = newTables
-	db.installViewLocked()
-	db.generation++
-	root.gen = db.generation
 	db.majorCompactions++
 	db.bytesCompacted += res.BytesWritten
 	db.recordPickLocked(strategy)
 	res.TablesAfter = len(newTables)
-	// The snapshot tables left the live set: drop their live reference and
-	// mark them for deletion once the last concurrent reader drains.
-	// Intermediate merge outputs are referenced by nobody else and die now.
 	for _, th := range snap {
 		th.compacting = false
-		th.obsolete.Store(true)
-		th.release()
-	}
-	for _, th := range created {
-		if th != root {
-			th.obsolete.Store(true)
-			th.release()
-		}
 	}
 	db.setState(CompactionIdle)
-	db.stallCond.Broadcast()
 	db.mu.Unlock()
 	releaseTables(snap) // the compaction's own snapshot reference
 	res.Duration = time.Since(start)
 	return res, nil
 }
 
-// MajorCompactBlocking is MajorCompact holding the store lock for the
-// entire run, stalling every write, flush and minor compaction until the
-// merge completes. It exists as the measurement baseline for the
-// non-blocking path (see BenchmarkGetDuringMajorCompaction) and for
-// callers that want compaction to exclude all concurrent mutation. Point
-// reads, scans and snapshots proceed even here: the lock-free read path
-// pins the published view and never takes the store lock.
-func (db *DB) MajorCompactBlocking(strategy string, k int, seed int64) (*CompactionResult, error) {
-	chooser, err := compaction.NewChooserByName(strategy, seed)
-	if err != nil {
-		return nil, err
-	}
-	db.majorMu.Lock()
-	defer db.majorMu.Unlock()
-	// The blocking baseline excludes all concurrent activity: it holds the
-	// commit pipeline and the store lock for the entire run.
-	db.pipeMu.Lock()
-	defer db.pipeMu.Unlock()
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.closed {
-		return nil, ErrClosed
-	}
-	if err := db.readOnlyErrLocked(); err != nil {
-		return nil, err
-	}
-	db.setState(CompactionPlanning)
-	defer db.setState(CompactionIdle)
-	start := time.Now()
-	if err := db.flushLocked(); err != nil {
-		return nil, err
-	}
-	res := &CompactionResult{Strategy: strategy, Mode: "blocking", TablesBefore: len(db.tables)}
-	if len(db.tables) <= 1 {
-		res.TablesAfter = len(db.tables)
-		res.Duration = time.Since(start)
-		return res, nil
-	}
-
-	sets := make([]keyset.Set, len(db.tables))
-	for i, th := range db.tables {
-		ks, err := tableKeySet(th.rd)
-		if err != nil {
-			return nil, err
-		}
-		sets[i] = ks
-	}
-	inst := compaction.NewInstance(sets...)
-	sched, err := compaction.Run(inst, k, chooser)
-	if err != nil {
-		return nil, err
-	}
-	res.CostSimple = sched.CostSimple()
-	res.CostActual = sched.CostActual()
-
-	db.setState(CompactionMerging)
-	// db.mu is already held for the whole run, but merge workers call
-	// alloc concurrently, so the counter needs its own lock here.
-	var allocMu sync.Mutex
-	alloc := func() string {
-		allocMu.Lock()
-		name := fmt.Sprintf("%06d.sst", db.man.nextFileNum)
-		db.man.nextFileNum++
-		allocMu.Unlock()
-		return name
-	}
-	snap := db.tables
-	nodes, stats, err := db.executeSchedule(sched, snap, alloc)
-	created := nodes[len(snap):]
-	if err != nil {
-		for _, th := range created {
-			if th != nil {
-				th.rd.Close()
-				if rerr := db.fs.Remove(filepath.Join(db.dir, th.name)); rerr != nil {
-					db.cleanupFails.Add(1)
-				}
-			}
-		}
-		return nil, err
-	}
-	for _, st := range stats {
-		res.StepStats = append(res.StepStats, st)
-		res.BytesRead += st.BytesRead
-		res.BytesWritten += st.BytesWritten
-	}
-
-	db.setState(CompactionSwapping)
-	root := nodes[sched.Root.ID]
-	oldManTables := db.man.tables
-	db.man.tables = []string{root.name}
-	db.man.recordBounds([]*tableHandle{root})
-	if err := db.man.save(db.fs, db.dir); err != nil {
-		db.man.tables = oldManTables
-		db.failDurabilityLocked(err)
-		for _, th := range created {
-			th.rd.Close()
-			if rerr := db.fs.Remove(filepath.Join(db.dir, th.name)); rerr != nil {
-				db.cleanupFails.Add(1)
-			}
-		}
-		return nil, err
-	}
-	old := db.tables
-	db.tables = []*tableHandle{root}
-	db.installViewLocked()
-	db.generation++
-	root.gen = db.generation
-	db.majorCompactions++
-	db.bytesCompacted += res.BytesWritten
-	db.recordPickLocked(strategy)
-	res.TablesAfter = 1
-	for _, th := range old {
-		th.obsolete.Store(true)
-		th.release()
-	}
-	for _, th := range created {
-		if th != root {
-			th.obsolete.Store(true)
-			th.release()
-		}
-	}
-	db.stallCond.Broadcast()
-	res.Duration = time.Since(start)
-	return res, nil
-}
-
-// allocTableName reserves the next sstable file number in a brief critical
-// section, so merge workers running off-lock never collide with concurrent
-// flushes.
-func (db *DB) allocTableName() string {
-	db.mu.Lock()
-	name := fmt.Sprintf("%06d.sst", db.man.nextFileNum)
-	db.man.nextFileNum++
-	db.mu.Unlock()
-	return name
-}
-
 // executeSchedule runs sched's merges on the compaction package's worker
 // pool (compaction.ExecuteParallelFunc): leaf i of the schedule is snap[i],
-// every step merges its inputs' files into a fresh sstable named by alloc,
-// and independent steps run concurrently up to Options.CompactionWorkers.
-// Tombstones survive intermediate merges — dropping one early would let an
-// older version in a not-yet-merged table resurface — and are purged only
-// at the root merge, which covers all snapshot data.
+// every step is one mergeTables call, and independent steps run
+// concurrently up to Options.CompactionWorkers. Tombstones survive
+// intermediate merges — dropping one early would let an older version in
+// a not-yet-merged table resurface — and are purged only at the root
+// merge, which covers all snapshot data.
 //
 // The returned slice maps node ID → handle: the first len(snap) entries
 // are the inputs, the rest the created merge outputs (nil where a step did
-// not run). On error the caller owns closing and removing created tables.
-func (db *DB) executeSchedule(sched *compaction.Schedule, snap []*tableHandle, alloc func() string) ([]*tableHandle, []sstable.MergeStats, error) {
+// not run). On error the caller owns removing the created tables.
+func (db *DB) executeSchedule(sched *compaction.Schedule, snap []*tableHandle) ([]*tableHandle, []sstable.MergeStats, error) {
 	nodes := make([]*tableHandle, len(snap)+len(sched.Steps))
-	for i, th := range snap {
-		nodes[i] = th
-	}
+	copy(nodes, snap)
 	stats := make([]sstable.MergeStats, len(sched.Steps))
 	rootID := sched.Root.ID
 	run := func(i int) error {
 		step := sched.Steps[i]
-		inputs := make([]*sstable.Reader, len(step.Inputs))
+		inputs := make([]*tableHandle, len(step.Inputs))
 		for j, in := range step.Inputs {
 			if in.ID >= len(nodes) || nodes[in.ID] == nil {
 				return fmt.Errorf("lsm: compaction step references unknown node %d", in.ID)
 			}
-			inputs[j] = nodes[in.ID].rd
+			inputs[j] = nodes[in.ID]
 		}
-		name := alloc()
-		path := filepath.Join(db.dir, name)
-		f, err := db.fs.Create(path)
+		th, st, err := db.mergeTables(inputs, step.Output.ID == rootID)
 		if err != nil {
-			return fmt.Errorf("lsm: compaction output: %w", err)
-		}
-		// Failure cleanup mirrors flushLocked: close before remove, return
-		// the first error, count (never propagate) removal failures.
-		removeOutput := func() {
-			if rerr := db.fs.Remove(path); rerr != nil {
-				db.cleanupFails.Add(1)
-			}
-		}
-		dropTombstones := step.Output.ID == rootID
-		mstats, err := sstable.MergeOpts(f, dropTombstones, db.tableWriterOpts(), inputs...)
-		if err != nil {
-			f.Close()
-			removeOutput()
 			return err
 		}
-		if err := f.Sync(); err != nil {
-			f.Close()
-			removeOutput()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			removeOutput()
-			return fmt.Errorf("lsm: close compaction output: %w", err)
-		}
-		rd, err := db.openTable(name)
-		if err != nil {
-			removeOutput()
-			return err
-		}
-		nodes[step.Output.ID] = db.newTableHandle(name, rd, 0)
-		stats[i] = mstats
+		nodes[step.Output.ID] = th
+		stats[i] = st
 		return nil
 	}
 	err := compaction.ExecuteParallelFunc(sched, db.opts.CompactionWorkers, run)
 	return nodes, stats, err
+}
+
+// mergeTables is the one merge step of every compaction — each step of a
+// major compaction's schedule, and a minor compaction whole: it merges
+// inputs into a new table written through buildTable. dropTombstones
+// purges deletions, which is sound only when the inputs cover all data
+// (a schedule's root merge).
+func (db *DB) mergeTables(inputs []*tableHandle, dropTombstones bool) (*tableHandle, sstable.MergeStats, error) {
+	rds := make([]*sstable.Reader, len(inputs))
+	for i, th := range inputs {
+		rds[i] = th.rd
+	}
+	var stats sstable.MergeStats
+	th, err := db.buildTable(func(w io.Writer) (err error) {
+		stats, err = sstable.MergeOpts(w, dropTombstones, db.tableWriterOpts(), rds...)
+		return err
+	})
+	return th, stats, err
 }
 
 // tableKeySet scans a table and returns its keys hashed into the uint64

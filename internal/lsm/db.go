@@ -19,6 +19,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"path/filepath"
 	"strings"
@@ -157,9 +158,7 @@ type tableHandle struct {
 	// outlive the DB's locks, so the counter is shared by pointer).
 	fs           vfs.FS
 	cleanupFails *atomic.Uint64
-	// gen is the table-set generation that created this table.
-	gen  uint64
-	refs atomic.Int32
+	refs         atomic.Int32
 	// smallest/largest bound the table's key range and maxSeq its
 	// sequence range (all immutable after open): the read path prunes
 	// point probes to tables whose range covers the key and stops probing
@@ -189,9 +188,9 @@ type tableHandle struct {
 	compacting bool
 }
 
-func (db *DB) newTableHandle(name string, rd *sstable.Reader, gen uint64) *tableHandle {
+func (db *DB) newTableHandle(name string, rd *sstable.Reader) *tableHandle {
 	th := &tableHandle{
-		name: name, rd: rd, dir: db.dir, gen: gen,
+		name: name, rd: rd, dir: db.dir,
 		fs: db.fs, cleanupFails: &db.cleanupFails,
 	}
 	if b, ok := rd.Bounds(); ok {
@@ -229,6 +228,15 @@ func releaseTables(tables []*tableHandle) {
 	}
 }
 
+// retireTables marks tables superseded and drops the caller's reference:
+// the last release closes each reader and deletes its file.
+func retireTables(tables []*tableHandle) {
+	for _, th := range tables {
+		th.obsolete.Store(true)
+		th.release()
+	}
+}
+
 // DB is the store. All methods are safe for concurrent use.
 type DB struct {
 	dir  string
@@ -251,8 +259,8 @@ type DB struct {
 	// readers, surviving table turnover under compaction.
 	filterMetrics sstable.FilterMetrics
 
-	// majorMu serializes major compactions (blocking or background); the
-	// store lock mu is only held for their short snapshot/swap sections.
+	// majorMu serializes major compactions; the store lock mu is only held
+	// for their short snapshot/swap sections.
 	majorMu sync.Mutex
 	// state is the major-compaction state machine, readable without mu.
 	state atomic.Int32
@@ -296,8 +304,8 @@ type DB struct {
 	man       *manifest
 	tables    []*tableHandle // newest first
 	closed    bool
-	// generation counts table-set changes (flush, minor, major); each
-	// tableHandle records the generation that created it.
+	// generation counts table-set changes (flush, minor, major,
+	// quarantine).
 	generation uint64
 	// flushCount, minorCompactions, majorCompactions and writeStalls count
 	// maintenance work, exposed through Stats.
@@ -391,7 +399,7 @@ func Open(dir string, opts Options) (*DB, error) {
 			}
 			return nil, fmt.Errorf("lsm: open table %s: %w", name, err)
 		}
-		th := db.newTableHandle(name, rd, 0)
+		th := db.newTableHandle(name, rd)
 		// A table whose file embeds no sketch (format v2, or v3 written
 		// before the extension) may still have one persisted in the
 		// manifest; levels live only in the manifest.
@@ -733,14 +741,7 @@ func (db *DB) quarantineTable(th *tableHandle, cause error) {
 	}
 	th.quarantined.Store(true)
 	db.tables = append(db.tables[:idx:idx], db.tables[idx+1:]...)
-	manTables := make([]string, 0, len(db.man.tables))
-	for _, name := range db.man.tables {
-		if name != th.name {
-			manTables = append(manTables, name)
-		}
-	}
-	db.man.tables = manTables
-	db.man.recordBounds(db.tables)
+	db.man.setTables(db.tables)
 	saveErr := db.man.save(db.fs, db.dir)
 	db.generation++
 	db.quarantined++
@@ -907,6 +908,72 @@ func (db *DB) tableWriterOpts() sstable.WriterOptions {
 	}
 }
 
+// buildTable writes one new sstable: it allocates a file number, creates
+// the file, fills it through fill, fsyncs, closes and opens it. Every
+// failure removes the partial file — after closing it, since removing an
+// open file works on POSIX but masks close diagnostics — returns the first
+// error, and counts a failed removal in cleanupFails rather than letting
+// it shadow that error. The file number comes from the manifest's atomic
+// allocator, so callers may or may not hold db.mu.
+func (db *DB) buildTable(fill func(io.Writer) error) (*tableHandle, error) {
+	name := fmt.Sprintf("%06d.sst", db.man.nextFileNum.Add(1)-1)
+	path := filepath.Join(db.dir, name)
+	f, err := db.fs.Create(path)
+	if err != nil {
+		return nil, fmt.Errorf("lsm: create sstable: %w", err)
+	}
+	err = fill(f)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil && cerr != nil {
+		err = fmt.Errorf("lsm: close sstable: %w", cerr)
+	}
+	var rd *sstable.Reader
+	if err == nil {
+		rd, err = db.openTable(name)
+	}
+	if err != nil {
+		if rerr := db.fs.Remove(path); rerr != nil {
+			db.cleanupFails.Add(1)
+		}
+		return nil, err
+	}
+	return db.newTableHandle(name, rd), nil
+}
+
+// commitTablesLocked makes next the live table set, retiring the handles
+// in retired: the one commit point of every flush and compaction. A
+// read-only DB refuses the change with ErrReadOnly. Otherwise the
+// manifest is derived from next and saved. If the save fails, the on-disk
+// manifest may or may not reference next, so the change cannot be
+// promised durable: the in-memory set and manifest stay at db.tables and
+// the DB degrades to read-only (the returned ErrReadOnly wraps the save
+// error) rather than risk acknowledging writes against an untrustworthy
+// manifest. On success the new set is published to readers, the retired
+// tables are released (deleted once the last reader drains), and stalled
+// writers are woken. Callers hold mu and, on failure, own retiring the
+// tables they built for next.
+func (db *DB) commitTablesLocked(next, retired []*tableHandle) error {
+	if err := db.readOnlyErrLocked(); err != nil {
+		return err
+	}
+	db.man.setTables(next)
+	if err := db.man.save(db.fs, db.dir); err != nil {
+		db.man.setTables(db.tables)
+		db.failDurabilityLocked(err)
+		return db.readOnlyErrLocked()
+	}
+	db.tables = next
+	db.generation++
+	db.installViewLocked()
+	retireTables(retired)
+	// The table count may have dropped: writers stalled on backpressure
+	// may be able to proceed without waiting for the major compactor.
+	db.stallCond.Broadcast()
+	return nil
+}
+
 // flushLocked writes the memtable to a fresh sstable and starts a new WAL.
 // Callers must hold both pipeMu and mu: the pipeline lock keeps the
 // WAL swap from racing a group commit's append-then-apply window.
@@ -917,88 +984,38 @@ func (db *DB) flushLocked() error {
 	if err := db.readOnlyErrLocked(); err != nil {
 		return err
 	}
-	name := fmt.Sprintf("%06d.sst", db.man.nextFileNum)
-	db.man.nextFileNum++
-	path := filepath.Join(db.dir, name)
-	f, err := db.fs.Create(path)
+	var w *sstable.Writer
+	th, err := db.buildTable(func(f io.Writer) error {
+		w = sstable.NewWriterOpts(f, db.mem.Len(), db.tableWriterOpts())
+		return sstable.WriteAll(w, db.mem.Iter())
+	})
 	if err != nil {
-		return fmt.Errorf("lsm: create sstable: %w", err)
-	}
-	// Every failure before the manifest records the table aborts the
-	// flush cleanly: the partial file is closed before removal (removing
-	// an open file works on POSIX but masks close diagnostics), the first
-	// error is the one returned, and a failed removal is counted rather
-	// than allowed to shadow it. The memtable and WAL are untouched, so
-	// the flush simply retries later — nothing acknowledged is at risk.
-	abort := func(first error) error {
-		f.Close()
-		if rerr := db.fs.Remove(path); rerr != nil {
-			db.cleanupFails.Add(1)
-		}
-		return first
-	}
-	w := sstable.NewWriterOpts(f, db.mem.Len(), db.tableWriterOpts())
-	if err := sstable.WriteAll(w, db.mem.Iter()); err != nil {
-		return abort(err)
-	}
-	if err := f.Sync(); err != nil {
-		return abort(err)
-	}
-	if err := f.Close(); err != nil {
-		if rerr := db.fs.Remove(path); rerr != nil {
-			db.cleanupFails.Add(1)
-		}
-		return fmt.Errorf("lsm: close sstable: %w", err)
-	}
-	rd, err := db.openTable(name)
-	if err != nil {
-		if rerr := db.fs.Remove(path); rerr != nil {
-			db.cleanupFails.Add(1)
-		}
+		// The memtable and WAL are untouched, so the flush simply retries
+		// later — nothing acknowledged is at risk.
 		return err
 	}
-	// Newest first.
-	db.generation++
-	th := db.newTableHandle(name, rd, db.generation)
 	if th.sketch == nil {
 		// Table formats that do not embed the sketch (v2) still get one:
 		// the writer maintained it in memory, and the manifest carries it
 		// across restarts.
 		th.sketch = w.Sketch()
 	}
-	db.tables = append([]*tableHandle{th}, db.tables...)
-	db.man.tables = append([]string{name}, db.man.tables...)
-	db.man.recordBounds(db.tables)
-	if err := db.man.save(db.fs, db.dir); err != nil {
-		// The manifest rewrite (or its fsync) failed: the on-disk manifest
-		// may or may not reference the new table, so the table-set change
-		// cannot be promised durable. Roll the in-memory set back — the
-		// data is still safe in the memtable and WAL — and degrade to
-		// read-only rather than risk acknowledging writes against an
-		// untrustworthy manifest.
-		db.generation++
-		db.tables = db.tables[1:]
-		db.man.tables = db.man.tables[1:]
-		db.man.recordBounds(db.tables)
-		rd.Close()
-		if rerr := db.fs.Remove(path); rerr != nil {
-			db.cleanupFails.Add(1)
-		}
-		db.failDurabilityLocked(err)
+	// Swap the memtable before the commit publishes the view, so the view
+	// pairs the new table with an empty memtable. Readers pinned to the
+	// old view keep reading the old memtable — whose contents the new
+	// table duplicates — so no version is ever invisible. If the commit
+	// fails, the old memtable and its WAL stay authoritative.
+	mem := db.mem
+	db.mem = memtable.New(db.opts.Seed + int64(db.man.nextFileNum.Load()))
+	if err := db.commitTablesLocked(append([]*tableHandle{th}, db.tables...), nil); err != nil {
+		db.mem = mem
+		retireTables([]*tableHandle{th})
 		return err
 	}
-	// The memtable is durable in the sstable now; start a fresh WAL.
-	if err := db.resetWALLocked(); err != nil {
-		return err
-	}
-	db.mem = memtable.New(db.opts.Seed + int64(db.man.nextFileNum))
 	db.flushCount++
-	db.bytesFlushed += rd.FileSize()
-	// Publish the new (empty memtable, grown table set) pair. Readers
-	// pinned to the old view keep reading the old memtable — whose
-	// contents the new table duplicates — so no version is ever invisible.
-	db.installViewLocked()
-	return nil
+	db.bytesFlushed += th.rd.FileSize()
+	// The memtable is durable in the sstable now; start a fresh WAL.
+	return db.resetWALLocked()
 }
 
 // resetWALLocked starts a fresh WAL after a flush made the memtable
@@ -1209,8 +1226,7 @@ type Stats struct {
 	Flushes int
 	// MinorCompactions counts auto-triggered minor compactions since Open.
 	MinorCompactions int
-	// MajorCompactions counts completed major compactions since Open,
-	// blocking and background alike.
+	// MajorCompactions counts completed major compactions since Open.
 	MajorCompactions int
 	// WriteStalls counts writes delayed by compaction backpressure, and
 	// WriteStallTime the cumulative wall time those writers spent blocked.

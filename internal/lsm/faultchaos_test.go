@@ -24,6 +24,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"syscall"
 	"testing"
@@ -580,5 +581,182 @@ func TestCloseRacesBackgroundCompaction(t *testing.T) {
 	wg.Wait()
 	if err := db.Put([]byte("late"), []byte("x")); !errors.Is(err, lsm.ErrClosed) {
 		t.Fatalf("write after close = %v, want ErrClosed", err)
+	}
+}
+
+// openThreeTables opens a DB in dir over fault with SyncWAL and flushes
+// three overlapping tables of acknowledged writes, which it returns.
+func openThreeTables(t *testing.T, dir string, opts lsm.Options) (*lsm.DB, map[string]string) {
+	t.Helper()
+	opts.SyncWAL = true
+	db, err := lsm.Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	acked := make(map[string]string)
+	for round := 0; round < 3; round++ {
+		for i := 0; i < 40; i++ {
+			k, v := fmt.Sprintf("key-%03d", (round*17+i)%60), fmt.Sprintf("v%d-%d", round, i)
+			if err := db.Put([]byte(k), []byte(v)); err != nil {
+				t.Fatalf("put %s: %v", k, err)
+			}
+			acked[k] = v
+		}
+		if err := db.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return db, acked
+}
+
+// sstFiles lists the .sst files in dir.
+func sstFiles(t *testing.T, dir string) map[string]bool {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(dir, "*.sst"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := make(map[string]bool, len(paths))
+	for _, p := range paths {
+		names[filepath.Base(p)] = true
+	}
+	return names
+}
+
+func tableNames(db *lsm.DB) []string {
+	var names []string
+	for _, ti := range db.TableInfos() {
+		names = append(names, ti.Name)
+	}
+	return names
+}
+
+// checkTableSetUnchanged asserts that a refused table-set change left the
+// live tables and the directory's .sst files exactly as before.
+func checkTableSetUnchanged(t *testing.T, db *lsm.DB, dir string, tables []string, files map[string]bool) {
+	t.Helper()
+	if got := tableNames(db); fmt.Sprint(got) != fmt.Sprint(tables) {
+		t.Errorf("live tables = %v, want unchanged %v", got, tables)
+	}
+	if got := sstFiles(t, dir); fmt.Sprint(got) != fmt.Sprint(files) {
+		t.Errorf(".sst files = %v, want unchanged %v (a refused change must remove its output)", got, files)
+	}
+}
+
+// degradeReadOnly fails the next WAL fsync under a write, which degrades
+// db to read-only.
+func degradeReadOnly(t *testing.T, db *lsm.DB, fault *vfs.Fault) {
+	t.Helper()
+	fault.FailNthSync(1)
+	if err := db.Put([]byte("doomed"), []byte("never-acked")); err == nil {
+		t.Fatal("put with failed WAL fsync returned nil")
+	}
+	if ro, _ := db.ReadOnly(); !ro {
+		t.Fatal("DB not read-only after a failed WAL fsync")
+	}
+}
+
+// TestMinorCompactRefusedWhileReadOnly: a DB degraded to read-only must
+// not merge and commit a minor compaction — the manifest rewrite would be
+// a table-set change on a DB that promised to make none.
+func TestMinorCompactRefusedWhileReadOnly(t *testing.T) {
+	dir := t.TempDir()
+	fault := vfs.NewFault(vfs.Default, 1)
+	db, _ := openThreeTables(t, dir, lsm.Options{FS: fault})
+	defer db.Close()
+	tables, files := tableNames(db), sstFiles(t, dir)
+
+	degradeReadOnly(t, db, fault)
+	_, ran, err := db.MinorCompact(lsm.ThresholdPolicy{MaxTables: 2, Fanin: 4})
+	if !errors.Is(err, lsm.ErrReadOnly) || ran {
+		t.Fatalf("MinorCompact on a read-only DB = ran %v, %v; want ErrReadOnly", ran, err)
+	}
+	checkTableSetUnchanged(t, db, dir, tables, files)
+}
+
+// TestMajorSwapRefusedAfterReadOnly: a major compaction whose DB degrades
+// to read-only while it merges must not swap its result in.
+func TestMajorSwapRefusedAfterReadOnly(t *testing.T) {
+	dir := t.TempDir()
+	fault := vfs.NewFault(vfs.Default, 1)
+	var db *lsm.DB
+	db, _ = openThreeTables(t, dir, lsm.Options{FS: fault, HookBeforeSwap: func() error {
+		degradeReadOnly(t, db, fault)
+		return nil
+	}})
+	defer db.Close()
+	tables, files := tableNames(db), sstFiles(t, dir)
+
+	if _, err := db.MajorCompact("BT(I)", 2, 1); !errors.Is(err, lsm.ErrReadOnly) {
+		t.Fatalf("MajorCompact degraded before its swap = %v, want ErrReadOnly", err)
+	}
+	checkTableSetUnchanged(t, db, dir, tables, files)
+}
+
+// TestMinorCompactOutputOpenFailure: when the merged table cannot be
+// opened, the minor compaction fails and removes its output instead of
+// leaving it beside the live tables until the next Open.
+func TestMinorCompactOutputOpenFailure(t *testing.T) {
+	dir := t.TempDir()
+	fault := vfs.NewFault(vfs.Default, 1)
+	db, _ := openThreeTables(t, dir, lsm.Options{FS: fault})
+	defer db.Close()
+	tables, files := tableNames(db), sstFiles(t, dir)
+
+	fault.SetPathFilter(func(p string) bool {
+		return strings.HasSuffix(p, ".sst") && !files[filepath.Base(p)]
+	})
+	fault.SetProb(vfs.OpOpen, 1)
+	_, ran, err := db.MinorCompact(lsm.ThresholdPolicy{MaxTables: 2, Fanin: 4})
+	if !errors.Is(err, vfs.ErrInjected) || ran {
+		t.Fatalf("MinorCompact with its output unopenable = ran %v, %v; want the injected error", ran, err)
+	}
+	if fault.Injected(vfs.OpOpen) == 0 {
+		t.Fatal("no open of the merge output was failed; the fault missed its target")
+	}
+	checkTableSetUnchanged(t, db, dir, tables, files)
+	if n := db.Stats().CleanupFailures; n != 0 {
+		t.Errorf("CleanupFailures = %d, want 0", n)
+	}
+}
+
+// TestMinorCompactManifestSaveFailure: a minor compaction whose manifest
+// rewrite fails degrades the DB to read-only, keeps serving the old table
+// set, removes its merge output, and loses no acknowledged write.
+func TestMinorCompactManifestSaveFailure(t *testing.T) {
+	dir := t.TempDir()
+	fault := vfs.NewFault(vfs.Default, 1)
+	db, acked := openThreeTables(t, dir, lsm.Options{FS: fault})
+	// One more acknowledged write that lives only in the memtable and WAL.
+	if err := db.Put([]byte("unflushed"), []byte("kept")); err != nil {
+		t.Fatal(err)
+	}
+	acked["unflushed"] = "kept"
+	tables, files := tableNames(db), sstFiles(t, dir)
+
+	fault.SetPathFilter(func(p string) bool { return strings.HasPrefix(filepath.Base(p), "MANIFEST") })
+	fault.SetProb(vfs.OpSync, 1)
+	_, ran, err := db.MinorCompact(lsm.ThresholdPolicy{MaxTables: 2, Fanin: 4})
+	if !errors.Is(err, lsm.ErrReadOnly) || ran {
+		t.Fatalf("MinorCompact with a failing manifest save = ran %v, %v; want ErrReadOnly", ran, err)
+	}
+	checkTableSetUnchanged(t, db, dir, tables, files)
+	for k, want := range acked {
+		if got, err := db.Get([]byte(k)); err != nil || string(got) != want {
+			t.Fatalf("read %s after the failed commit: %q, %v; want %q", k, got, err, want)
+		}
+	}
+
+	fault.Disable()
+	db.Close()
+	db, err = lsm.Open(dir, lsm.Options{FS: fault, SyncWAL: true})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer db.Close()
+	for k, want := range acked {
+		if got, err := db.Get([]byte(k)); err != nil || string(got) != want {
+			t.Fatalf("acked %s after reopen: %q, %v; want %q", k, got, err, want)
+		}
 	}
 }

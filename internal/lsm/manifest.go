@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync/atomic"
 
 	"repro/internal/hll"
 	"repro/internal/sstable"
@@ -22,7 +23,10 @@ import (
 // (write temp, fsync, rename) on every change, the classic small-manifest
 // design.
 type manifest struct {
-	nextFileNum uint64
+	// nextFileNum is the sstable file-number allocator (DB.buildTable).
+	// It is atomic so merge workers can allocate without db.mu; save
+	// records whatever it holds at the time.
+	nextFileNum atomic.Uint64
 	nextSeq     uint64
 	tables      []string // sstable file names, newest first
 	// bounds carries each table's key range and sequence range through
@@ -44,14 +48,17 @@ type manifest struct {
 
 const manifestName = "MANIFEST"
 
-// recordBounds rebuilds the manifest's per-table annotations — bounds,
-// sketches for tables whose file embeds none, and non-zero levels — from
-// the prospective live handle set, called immediately before save.
-func (m *manifest) recordBounds(handles []*tableHandle) {
+// setTables derives the manifest's table list and per-table annotations
+// — bounds, sketches for tables whose file embeds none, and non-zero
+// levels — from the prospective live handle set, called immediately
+// before save.
+func (m *manifest) setTables(handles []*tableHandle) {
+	m.tables = make([]string, len(handles))
 	m.bounds = make(map[string]sstable.Bounds, len(handles))
 	m.sketches = make(map[string]*hll.Sketch)
 	m.levels = make(map[string]int)
-	for _, th := range handles {
+	for i, th := range handles {
+		m.tables[i] = th.name
 		if th.hasBounds {
 			m.bounds[th.name] = sstable.Bounds{
 				Smallest: th.smallest, Largest: th.largest,
@@ -70,7 +77,8 @@ func (m *manifest) recordBounds(handles []*tableHandle) {
 // loadManifest reads the manifest in dir, returning an empty manifest if
 // none exists yet.
 func loadManifest(fsys vfs.FS, dir string) (*manifest, error) {
-	m := &manifest{nextFileNum: 1, nextSeq: 1}
+	m := &manifest{nextSeq: 1}
+	m.nextFileNum.Store(1)
 	data, err := fsys.ReadFile(filepath.Join(dir, manifestName))
 	if errors.Is(err, fs.ErrNotExist) {
 		return m, nil
@@ -89,7 +97,7 @@ func loadManifest(fsys vfs.FS, dir string) (*manifest, error) {
 			if err != nil {
 				return nil, fmt.Errorf("lsm: manifest next-file: %w", err)
 			}
-			m.nextFileNum = v
+			m.nextFileNum.Store(v)
 		case strings.HasPrefix(line, "next-seq "):
 			v, err := strconv.ParseUint(strings.TrimPrefix(line, "next-seq "), 10, 64)
 			if err != nil {
@@ -177,7 +185,7 @@ func parseBoundsLine(rest string) (string, sstable.Bounds, error) {
 // treat it as a durability failure.
 func (m *manifest) save(fsys vfs.FS, dir string) error {
 	var b strings.Builder
-	fmt.Fprintf(&b, "# lsm manifest\nnext-file %d\nnext-seq %d\n", m.nextFileNum, m.nextSeq)
+	fmt.Fprintf(&b, "# lsm manifest\nnext-file %d\nnext-seq %d\n", m.nextFileNum.Load(), m.nextSeq)
 	for _, t := range m.tables {
 		fmt.Fprintf(&b, "table %s\n", t)
 		if tb, ok := m.bounds[t]; ok {

@@ -3,7 +3,6 @@ package lsm
 import (
 	"bytes"
 	"fmt"
-	"path/filepath"
 	"sort"
 	"strings"
 	"time"
@@ -515,7 +514,8 @@ func (th *tableHandle) info() TableInfo {
 
 // MinorCompact asks policy for a group of tables and, if it returns one,
 // merges them into a single table (keeping tombstones). It reports whether
-// a compaction ran.
+// a compaction ran. A DB degraded to read-only refuses the change with
+// ErrReadOnly.
 func (db *DB) MinorCompact(policy CompactionPolicy) (*MinorCompactionResult, bool, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -550,7 +550,7 @@ func (db *DB) minorCompactLocked(policy CompactionPolicy) (*MinorCompactionResul
 		outLevel = lv.OutputLevel(infos, picked)
 	}
 	seen := make(map[int]bool, len(picked))
-	inputs := make([]*sstable.Reader, 0, len(picked))
+	inputs := make([]*tableHandle, 0, len(picked))
 	for _, e := range picked {
 		if e < 0 || e >= len(eligible) {
 			return nil, false, fmt.Errorf("lsm: policy %s picked invalid index %d", policy.Name(), e)
@@ -560,95 +560,35 @@ func (db *DB) minorCompactLocked(policy CompactionPolicy) (*MinorCompactionResul
 			return nil, false, fmt.Errorf("lsm: policy %s picked index %d twice", policy.Name(), e)
 		}
 		seen[i] = true
-		inputs = append(inputs, db.tables[i].rd)
+		inputs = append(inputs, db.tables[i])
 	}
 
 	start := time.Now()
-	name := fmt.Sprintf("%06d.sst", db.man.nextFileNum)
-	db.man.nextFileNum++
-	path := filepath.Join(db.dir, name)
-	f, err := db.fs.Create(path)
-	if err != nil {
-		return nil, false, fmt.Errorf("lsm: minor compaction output: %w", err)
-	}
-	removeOutput := func() {
-		if rerr := db.fs.Remove(path); rerr != nil {
-			db.cleanupFails.Add(1)
-		}
-	}
-	stats, err := sstable.MergeOpts(f, false, db.tableWriterOpts(), inputs...)
-	if err != nil {
-		f.Close()
-		removeOutput()
-		return nil, false, err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		removeOutput()
-		return nil, false, err
-	}
-	if err := f.Close(); err != nil {
-		removeOutput()
-		return nil, false, fmt.Errorf("lsm: close minor compaction output: %w", err)
-	}
-	rd, err := db.openTable(name)
+	out, stats, err := db.mergeTables(inputs, false)
 	if err != nil {
 		return nil, false, err
 	}
-
-	// Replace the merged tables: the new table takes the position of the
-	// newest input; the rest disappear.
-	newest := len(db.tables)
-	for i := range db.tables {
-		if seen[i] {
-			newest = i
-			break
-		}
-	}
-	var (
-		kept    []*tableHandle
-		removed []*tableHandle
-	)
+	out.level = outLevel
+	// The merged table takes the position of the newest input; the rest
+	// disappear. Retired inputs may still be referenced by concurrent
+	// scans; the last reference closes the reader and deletes the file.
+	next := make([]*tableHandle, 0, len(db.tables)-len(inputs)+1)
+	placed := false
 	for i, th := range db.tables {
 		switch {
-		case i == newest:
-			out := db.newTableHandle(name, rd, db.generation+1)
-			out.level = outLevel
-			kept = append(kept, out)
-			removed = append(removed, th)
-		case seen[i]:
-			removed = append(removed, th)
-		default:
-			kept = append(kept, th)
+		case !seen[i]:
+			next = append(next, th)
+		case !placed:
+			next = append(next, out)
+			placed = true
 		}
 	}
-	oldManTables := db.man.tables
-	db.man.tables = make([]string, len(kept))
-	for i, th := range kept {
-		db.man.tables[i] = th.name
-	}
-	db.man.recordBounds(kept)
-	if err := db.man.save(db.fs, db.dir); err != nil {
-		db.man.tables = oldManTables
-		db.failDurabilityLocked(err)
-		rd.Close()
-		removeOutput()
+	if err := db.commitTablesLocked(next, inputs); err != nil {
+		retireTables([]*tableHandle{out})
 		return nil, false, err
 	}
-	db.tables = kept
-	db.installViewLocked()
-	db.generation++
 	db.bytesCompacted += stats.BytesWritten
 	db.recordPickLocked(policy.Name())
-	// The table count just dropped: writers stalled on backpressure may be
-	// able to proceed without waiting for the major compactor.
-	db.stallCond.Broadcast()
-	// Retired inputs may still be referenced by concurrent scans; the last
-	// reference closes the reader and deletes the file.
-	for _, th := range removed {
-		th.obsolete.Store(true)
-		th.release()
-	}
 	return &MinorCompactionResult{
 		Policy:   policy.Name(),
 		Merged:   len(picked),

@@ -246,9 +246,13 @@ func TestFaultChaosDB(t *testing.T) {
 	}
 }
 
-// storeChaos adapts store.Store (whose Get/Put/Delete signatures already
-// match) — only present so the compiler checks the adaptation explicitly.
-type storeChaos struct{ *store.Store }
+// storeChaos adapts the context-aware store.Store to the harness.
+type storeChaos struct{ st *store.Store }
+
+func (s storeChaos) Put(k, v []byte) error        { return s.st.PutContext(context.Background(), k, v) }
+func (s storeChaos) Delete(k []byte) error        { return s.st.DeleteContext(context.Background(), k) }
+func (s storeChaos) Get(k []byte) ([]byte, error) { return s.st.GetContext(context.Background(), k) }
+func (s storeChaos) Close() error                 { return s.st.Close() }
 
 func TestFaultChaosStore(t *testing.T) {
 	for seed := int64(11); seed <= 12; seed++ {

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -38,6 +39,7 @@ func reportGroupStats(b *testing.B, s *Store) {
 
 // putParallel drives 8 concurrent writers per proc against a store.
 func putParallel(b *testing.B, shards int, valueBytes int, opts lsm.Options) {
+	ctx := context.Background()
 	s := benchStore(b, shards, opts)
 	val := bytes.Repeat([]byte("v"), valueBytes)
 	var ctr atomic.Int64
@@ -53,7 +55,7 @@ func putParallel(b *testing.B, shards int, valueBytes int, opts lsm.Options) {
 				key[n+d] = byte('0' + i%10)
 				i /= 10
 			}
-			if err := s.Put(key[:], val); err != nil {
+			if err := s.PutContext(ctx, key[:], val); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -117,6 +119,7 @@ func BenchmarkPutParallelPipeline(b *testing.B) {
 // BenchmarkWriteBatch commits 128-record batches that split across shards
 // and ride N commit pipelines concurrently.
 func BenchmarkWriteBatch(b *testing.B) {
+	ctx := context.Background()
 	const size = 128
 	for _, shards := range benchShardCounts {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
@@ -130,7 +133,7 @@ func BenchmarkWriteBatch(b *testing.B) {
 				for j := 0; j < size; j++ {
 					batch.Put([]byte(fmt.Sprintf("key-%07d-%03d", i, j)), val)
 				}
-				if err := s.Write(&batch); err != nil {
+				if err := s.WriteContext(ctx, &batch); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -149,6 +152,7 @@ func BenchmarkWriteBatch(b *testing.B) {
 // shard's traffic stalls. Reported as writes/sec plus reads/sec sustained
 // by two background reader goroutines over the same keyspace.
 func BenchmarkMixedReadWrite(b *testing.B) {
+	ctx := context.Background()
 	const keyspace = 5000
 	for _, shards := range benchShardCounts {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
@@ -159,7 +163,7 @@ func BenchmarkMixedReadWrite(b *testing.B) {
 			val := bytes.Repeat([]byte("v"), 512)
 			key := func(i int) []byte { return []byte(fmt.Sprintf("key-%012d", i%keyspace)) }
 			for i := 0; i < keyspace; i++ {
-				if err := s.Put(key(i), val); err != nil {
+				if err := s.PutContext(ctx, key(i), val); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -173,7 +177,7 @@ func BenchmarkMixedReadWrite(b *testing.B) {
 				go func(r int) {
 					defer wg.Done()
 					for i := r; !stop.Load(); i += 7 {
-						if _, err := s.Get(key(i)); err != nil {
+						if _, err := s.GetContext(ctx, key(i)); err != nil {
 							b.Error(err)
 							return
 						}
@@ -186,7 +190,7 @@ func BenchmarkMixedReadWrite(b *testing.B) {
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {
 				for pb.Next() {
-					if err := s.Put(key(int(ctr.Add(1))), val); err != nil {
+					if err := s.PutContext(ctx, key(int(ctr.Add(1))), val); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -204,13 +208,14 @@ func BenchmarkMixedReadWrite(b *testing.B) {
 // routing adds one hash per lookup, while per-shard memtables, Bloom
 // filters and block caches shrink each probe's search space.
 func BenchmarkGet(b *testing.B) {
+	ctx := context.Background()
 	for _, shards := range benchShardCounts {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			s := benchStore(b, shards, lsm.Options{MemtableBytes: 1 << 20})
 			const n = 20000
 			val := bytes.Repeat([]byte("v"), 100)
 			for i := 0; i < n; i++ {
-				if err := s.Put([]byte(fmt.Sprintf("key-%012d", i)), val); err != nil {
+				if err := s.PutContext(ctx, []byte(fmt.Sprintf("key-%012d", i)), val); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -222,7 +227,7 @@ func BenchmarkGet(b *testing.B) {
 			b.RunParallel(func(pb *testing.PB) {
 				for pb.Next() {
 					i := ctr.Add(1)
-					if _, err := s.Get([]byte(fmt.Sprintf("key-%012d", i%n))); err != nil {
+					if _, err := s.GetContext(ctx, []byte(fmt.Sprintf("key-%012d", i%n))); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -11,17 +11,23 @@
 // concurrently — which is what turns the single-leader commit pipeline
 // into a parallel one.
 //
+// On disk, a directory with a SHARDS marker recording N keeps shard i in
+// dir/shard-NNN; a new store writes the marker only when N > 1. A
+// one-shard store lives at the directory root with no marker: the layout
+// plain lsm.Open produces, so either can reopen the other's directory.
+//
 // Cross-shard semantics are deliberately relaxed where a single DB is
 // strict:
 //
-//   - Write splits a batch by shard and commits the sub-batches through
-//     each shard's pipeline concurrently. Each sub-batch is atomic and
-//     crash-durable on its shard, but there is no cross-shard commit
+//   - WriteContext splits a batch by shard and commits the sub-batches
+//     through each shard's pipeline concurrently. Each sub-batch is atomic
+//     and crash-durable on its shard, but there is no cross-shard commit
 //     point: a crash (or a reader racing the commit) can observe some
 //     shards' sub-batches without the others.
-//   - Scan and Range k-way-merge per-shard iterators into one globally
-//     ordered stream. Each shard's view is a point-in-time snapshot, but
-//     the snapshots are not taken at the same instant across shards.
+//   - RangeContext and NewIterator k-way-merge per-shard iterators into
+//     one globally ordered stream. Each shard's view is a point-in-time
+//     snapshot, but the snapshots are not taken at the same instant across
+//     shards.
 //
 // A Store with a single shard behaves exactly like the DB it wraps.
 package store
@@ -56,20 +62,18 @@ const markerName = "SHARDS"
 // buffered memory is Shards × MemtableBytes.
 type Options struct {
 	// Shards is the number of partitions. Zero adopts the count persisted
-	// in the store directory, or 1 for a new store. Opening an existing
-	// store with a different non-zero count is an error. A directory
-	// holding a pre-store unsharded lsm.DB opens as a single legacy shard
-	// rooted at the directory itself (Shards above 1 is refused there).
+	// in the store directory, or 1 for a directory without one. Opening a
+	// marked store with a different non-zero count is an error, and so is
+	// a count above 1 over an unmarked directory that already holds data.
 	Shards int
 	lsm.Options
 }
 
-// Store is a sharded LSM store exposing the lsm.DB API. All methods are
-// safe for concurrent use.
+// Store is an LSM store of one or more hash-partitioned shards. All
+// methods are safe for concurrent use.
 type Store struct {
-	dir    string
 	shards []*lsm.DB
-	// subs pools per-Write scratch sub-batches, one slot per shard.
+	// subs pools per-WriteContext scratch sub-batches, one slot per shard.
 	subs sync.Pool
 }
 
@@ -119,24 +123,12 @@ func writeMarker(fsys vfs.FS, dir string, n int) error {
 	return nil
 }
 
-// IsSharded reports whether dir holds a sharded store layout (a SHARDS
-// marker). Callers deciding between a plain lsm.DB and a Store — the kv
-// façade's Open — use it to adopt whatever the directory already is.
-func IsSharded(dir string) (bool, error) {
-	return IsShardedFS(vfs.Default, dir)
-}
-
-// IsShardedFS is IsSharded reading through fsys.
-func IsShardedFS(fsys vfs.FS, dir string) (bool, error) {
-	n, err := readMarker(fsys, dir)
-	return n > 0, err
-}
-
-// legacyLayout reports whether dir holds a pre-store unsharded lsm.DB. A
-// manifest is only cut at the first flush, so a store whose acknowledged
-// data still lives entirely in its WAL must be recognized too — missing it
-// would re-initialize the directory and silently lose those writes.
-func legacyLayout(fsys vfs.FS, dir string) (bool, error) {
+// holdsUnshardedDB reports whether dir holds an unsharded lsm.DB (a
+// one-shard store). A manifest is only cut at the first flush, so a DB
+// whose acknowledged data still lives entirely in its WAL must be
+// recognized too — missing it would shard over the directory and strand
+// those writes.
+func holdsUnshardedDB(fsys vfs.FS, dir string) (bool, error) {
 	for _, name := range []string{"MANIFEST", "wal.log"} {
 		if _, err := fsys.Stat(filepath.Join(dir, name)); err == nil {
 			return true, nil
@@ -156,8 +148,12 @@ func legacyLayout(fsys vfs.FS, dir string) (bool, error) {
 	return false, nil
 }
 
-// Open opens (creating if necessary) a sharded store rooted at dir, with
-// shard i living in dir/shard-NNN. All shard WALs replay in parallel, so
+// Open opens (creating if necessary) a store rooted at dir. A directory
+// with a SHARDS marker opens at its persisted count, with shard i in
+// dir/shard-NNN. Otherwise Shards <= 1 opens one shard rooted at dir
+// itself and writes no marker, so the directory stays a plain lsm.Open
+// layout; Shards > 1 creates the sharded layout, and is refused if dir
+// already holds unsharded data. All shard WALs replay in parallel, so
 // crash recovery costs one shard's replay time, not the sum.
 func Open(dir string, opts Options) (*Store, error) {
 	if opts.Shards < 0 {
@@ -175,34 +171,20 @@ func Open(dir string, opts Options) (*Store, error) {
 		return nil, err
 	}
 	n := opts.Shards
-	legacy := false
-	writeMarkerAfterOpen := false
+	atRoot := false
 	switch {
+	case persisted == 0 && n <= 1:
+		n, atRoot = 1, true
 	case persisted == 0:
-		// A directory already holding an unsharded lsm.DB (a pre-store
-		// layout: manifest, WAL or sstables in the root) is adopted in
-		// place as a single legacy shard rooted at dir itself — no marker
-		// is written, so the directory keeps working with plain lsm.Open
-		// too. Re-sharding it would strand its data, so a shard count
-		// above 1 is refused.
-		isLegacy, err := legacyLayout(fsys, dir)
+		// Re-sharding a directory that holds an unsharded lsm.DB would
+		// strand its data.
+		unsharded, err := holdsUnshardedDB(fsys, dir)
 		if err != nil {
 			return nil, err
 		}
-		if isLegacy {
-			if n > 1 {
-				return nil, fmt.Errorf("store: %s holds an unsharded lsm store; cannot shard over it (open with Shards <= 1)", dir)
-			}
-			n, legacy = 1, true
-			break
+		if unsharded {
+			return nil, fmt.Errorf("store: %s holds an unsharded lsm store; cannot shard over it (open with Shards <= 1)", dir)
 		}
-		if n == 0 {
-			n = 1
-		}
-		// The marker is committed only after every shard opens, so a
-		// failed first open does not pin a shard count the caller may
-		// want to retry differently.
-		writeMarkerAfterOpen = true
 	case n == 0:
 		n = persisted
 	case n != persisted:
@@ -233,7 +215,7 @@ func Open(dir string, opts Options) (*Store, error) {
 		shardOpts.WriteLoad = new(atomic.Int32)
 	}
 
-	s := &Store{dir: dir, shards: make([]*lsm.DB, n)}
+	s := &Store{shards: make([]*lsm.DB, n)}
 	s.subs.New = func() any { return make([]lsm.WriteBatch, n) }
 	errs := make([]error, n)
 	var wg sync.WaitGroup
@@ -243,9 +225,9 @@ func Open(dir string, opts Options) (*Store, error) {
 			defer wg.Done()
 			so := shardOpts
 			so.Seed += int64(i)
-			sdir := s.shardDir(i)
-			if legacy {
-				sdir = dir // adopted unsharded layout: the single shard is the root
+			sdir := dir
+			if !atRoot {
+				sdir = filepath.Join(dir, fmt.Sprintf("shard-%03d", i))
 			}
 			s.shards[i], errs[i] = lsm.Open(sdir, so)
 		}(i)
@@ -264,17 +246,16 @@ func Open(dir string, opts Options) (*Store, error) {
 			return nil, err
 		}
 	}
-	if writeMarkerAfterOpen {
+	// A new sharded layout's marker is committed only after every shard
+	// opens, so a failed first open does not pin a shard count the caller
+	// may want to retry differently.
+	if persisted == 0 && !atRoot {
 		if err := writeMarker(fsys, dir, n); err != nil {
 			closeAll()
 			return nil, err
 		}
 	}
 	return s, nil
-}
-
-func (s *Store) shardDir(i int) string {
-	return filepath.Join(s.dir, fmt.Sprintf("shard-%03d", i))
 }
 
 // ShardCount returns the number of shards.
@@ -298,53 +279,35 @@ func (s *Store) forAll(fn func(db *lsm.DB) error) error {
 	return s.forAllIndexed(func(_ int, db *lsm.DB) error { return fn(db) })
 }
 
-// Put stores key → value on the owning shard.
-func (s *Store) Put(key, value []byte) error {
-	return s.shards[s.ShardFor(key)].Put(key, value)
-}
-
-// PutContext is Put honoring ctx on the owning shard's commit pipeline.
+// PutContext stores key → value on the owning shard, honoring ctx on its
+// commit pipeline.
 func (s *Store) PutContext(ctx context.Context, key, value []byte) error {
 	return s.shards[s.ShardFor(key)].PutContext(ctx, key, value)
 }
 
-// Get returns the value stored for key, or lsm.ErrNotFound.
-func (s *Store) Get(key []byte) ([]byte, error) {
-	return s.shards[s.ShardFor(key)].Get(key)
-}
-
-// GetContext is Get honoring ctx.
+// GetContext returns the value stored for key, or lsm.ErrNotFound.
 func (s *Store) GetContext(ctx context.Context, key []byte) ([]byte, error) {
 	return s.shards[s.ShardFor(key)].GetContext(ctx, key)
 }
 
-// Delete removes key on the owning shard.
-func (s *Store) Delete(key []byte) error {
-	return s.shards[s.ShardFor(key)].Delete(key)
-}
-
-// DeleteContext is Delete honoring ctx on the owning shard's pipeline.
+// DeleteContext removes key on the owning shard, honoring ctx on its
+// pipeline.
 func (s *Store) DeleteContext(ctx context.Context, key []byte) error {
 	return s.shards[s.ShardFor(key)].DeleteContext(ctx, key)
 }
 
-// Write commits the batch, splitting it by owning shard and committing the
-// sub-batches through each shard's group-commit pipeline concurrently.
-// Within one shard the sub-batch is atomic — all of its operations are
-// recovered or none — and operations on the same key keep their batch
-// order. Across shards atomicity is relaxed: there is no global commit
-// point, so a crash between shard commits can persist some sub-batches
-// without the others, and a concurrent reader can observe the same. An
-// error means at least one sub-batch failed; others may have committed.
-func (s *Store) Write(b *lsm.WriteBatch) error {
-	return s.WriteContext(context.Background(), b)
-}
-
-// WriteContext is Write honoring ctx: every shard's sub-commit inherits
-// the context, so a cancellation that lands while sub-batches are parked
-// in their shards' commit queues releases those pipeline slots. As with
-// errors, cancellation is not atomic across shards — some sub-batches may
-// have committed before the context expired.
+// WriteContext commits the batch, splitting it by owning shard and
+// committing the sub-batches through each shard's group-commit pipeline
+// concurrently. Within one shard the sub-batch is atomic — all of its
+// operations are recovered or none — and operations on the same key keep
+// their batch order. Across shards atomicity is relaxed: there is no
+// global commit point, so a crash between shard commits can persist some
+// sub-batches without the others, and a concurrent reader can observe the
+// same. An error means at least one sub-batch failed; others may have
+// committed. Every sub-commit inherits ctx, so a cancellation that lands
+// while sub-batches are parked in their shards' commit queues releases
+// those pipeline slots; like errors, cancellation is not atomic across
+// shards.
 func (s *Store) WriteContext(ctx context.Context, b *lsm.WriteBatch) error {
 	if b == nil || b.Len() == 0 {
 		return nil
@@ -409,25 +372,15 @@ func (s *Store) Flush() error {
 	return s.forAll(func(db *lsm.DB) error { return db.Flush() })
 }
 
-// Scan invokes fn for every live key-value pair across all shards in
-// ascending key order. See Range for snapshot semantics.
-func (s *Store) Scan(fn func(key, value []byte) error) error {
-	return s.Range(nil, nil, fn)
-}
-
-// Range invokes fn for every live key-value pair with start <= key < end
-// in ascending global key order, k-way-merging one snapshot iterator per
-// shard. Hash partitioning makes shard key sets disjoint, so the merge
-// needs no cross-shard dedup. Each shard's iterator is a consistent
-// point-in-time snapshot of that shard, but the per-shard snapshots are
-// acquired sequentially, not atomically across shards.
-func (s *Store) Range(start, end []byte, fn func(key, value []byte) error) error {
-	return s.RangeContext(context.Background(), start, end, fn)
-}
-
-// RangeContext is Range honoring ctx: the k-way merge loop checks for
-// expiry periodically, so a cancelled scan releases every shard's
-// snapshot promptly instead of draining the whole key space.
+// RangeContext invokes fn for every live key-value pair with start <= key
+// < end (nil bounds are open) in ascending global key order,
+// k-way-merging one snapshot iterator per shard. Hash partitioning makes
+// shard key sets disjoint, so the merge needs no cross-shard dedup. Each
+// shard's iterator is a consistent point-in-time snapshot of that shard,
+// but the per-shard snapshots are acquired sequentially, not atomically
+// across shards. The merge loop checks ctx periodically, so a cancelled
+// scan releases every shard's snapshot promptly instead of draining the
+// whole key space.
 func (s *Store) RangeContext(ctx context.Context, start, end []byte, fn func(key, value []byte) error) error {
 	it, release, err := s.NewIterator(start, end)
 	if err != nil {
@@ -462,8 +415,8 @@ func (s *Store) NewIterator(start, end []byte) (iterator.Iterator, func(), error
 	return iterator.NewMerging(children...), releaseAll, nil
 }
 
-// Snapshot captures a point-in-time view of every shard. As with Write
-// and Range, the per-shard snapshots are acquired sequentially: each
+// Snapshot captures a point-in-time view of every shard. As with
+// WriteContext and RangeContext, the per-shard snapshots are acquired sequentially: each
 // shard's view is internally consistent, but a concurrent cross-shard
 // batch may be split across the acquisition instants.
 func (s *Store) Snapshot() (*Snapshot, error) {

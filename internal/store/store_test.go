@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -41,14 +42,27 @@ func collect(t *testing.T, scan func(func(key, value []byte) error) error) []kv 
 	return out
 }
 
+// storeScan adapts a store's full-range scan to collect.
+func storeScan(s *Store) func(func(key, value []byte) error) error {
+	return func(fn func(key, value []byte) error) error {
+		return s.RangeContext(context.Background(), nil, nil, fn)
+	}
+}
+
 // TestStoreEquivalence is the observational-equivalence property test: a
 // sharded store with N ∈ {1, 2, 8} shards must behave exactly like a
 // single lsm.DB under random Put/Delete/Write/Scan sequences interleaved
 // with flushes and major compactions.
 func TestStoreEquivalence(t *testing.T) {
+	ctx := context.Background()
 	for _, shards := range []int{1, 2, 8} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			s := openStore(t, shards, lsm.Options{MemtableBytes: 16 << 10, Seed: 3})
+			dir := t.TempDir()
+			s, err := Open(dir, Options{Shards: shards, Options: lsm.Options{MemtableBytes: 16 << 10, Seed: 3}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { s.Close() })
 			ref, err := lsm.Open(t.TempDir(), lsm.Options{MemtableBytes: 16 << 10, Seed: 4})
 			if err != nil {
 				t.Fatal(err)
@@ -62,7 +76,7 @@ func TestStoreEquivalence(t *testing.T) {
 				switch rng.Intn(10) {
 				case 0: // delete
 					k := key()
-					if err := s.Delete(k); err != nil {
+					if err := s.DeleteContext(ctx, k); err != nil {
 						t.Fatal(err)
 					}
 					if err := ref.Delete(k); err != nil {
@@ -81,7 +95,7 @@ func TestStoreEquivalence(t *testing.T) {
 							rb.Put(k, v)
 						}
 					}
-					if err := s.Write(&sb); err != nil {
+					if err := s.WriteContext(ctx, &sb); err != nil {
 						t.Fatal(err)
 					}
 					if err := ref.Write(&rb); err != nil {
@@ -104,7 +118,7 @@ func TestStoreEquivalence(t *testing.T) {
 					}
 				default:
 					k, v := key(), []byte(fmt.Sprintf("val-%d", i))
-					if err := s.Put(k, v); err != nil {
+					if err := s.PutContext(ctx, k, v); err != nil {
 						t.Fatal(err)
 					}
 					if err := ref.Put(k, v); err != nil {
@@ -112,7 +126,7 @@ func TestStoreEquivalence(t *testing.T) {
 					}
 				}
 				if i%1000 == 999 {
-					got, want := collect(t, s.Scan), collect(t, ref.Scan)
+					got, want := collect(t, storeScan(s)), collect(t, ref.Scan)
 					if len(got) != len(want) {
 						t.Fatalf("op %d: scan lengths diverge: store %d, ref %d", i, len(got), len(want))
 					}
@@ -127,7 +141,7 @@ func TestStoreEquivalence(t *testing.T) {
 			// Point reads agree over the whole key space.
 			for i := 0; i < 800; i++ {
 				k := []byte(fmt.Sprintf("key-%04d", i))
-				gv, gerr := s.Get(k)
+				gv, gerr := s.GetContext(ctx, k)
 				wv, werr := ref.Get(k)
 				if !errors.Is(gerr, werr) && (gerr != nil || werr != nil) {
 					t.Fatalf("Get(%s): store err %v, ref err %v", k, gerr, werr)
@@ -139,7 +153,7 @@ func TestStoreEquivalence(t *testing.T) {
 
 			// Bounded ranges agree, including bounds that split shards.
 			got := collect(t, func(fn func(k, v []byte) error) error {
-				return s.Range([]byte("key-0100"), []byte("key-0500"), fn)
+				return s.RangeContext(ctx, []byte("key-0100"), []byte("key-0500"), fn)
 			})
 			want := collect(t, func(fn func(k, v []byte) error) error {
 				return ref.Range([]byte("key-0100"), []byte("key-0500"), fn)
@@ -164,7 +178,7 @@ func TestStoreEquivalence(t *testing.T) {
 			if err := s.Close(); err != nil {
 				t.Fatal(err)
 			}
-			s2, err := Open(s.dir, Options{})
+			s2, err := Open(dir, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -172,7 +186,7 @@ func TestStoreEquivalence(t *testing.T) {
 			if s2.ShardCount() != shards {
 				t.Fatalf("reopen adopted %d shards, want %d", s2.ShardCount(), shards)
 			}
-			got2, want2 := collect(t, s2.Scan), collect(t, ref.Scan)
+			got2, want2 := collect(t, storeScan(s2)), collect(t, ref.Scan)
 			if len(got2) != len(want2) {
 				t.Fatalf("post-reopen scan lengths diverge: %d vs %d", len(got2), len(want2))
 			}
@@ -204,6 +218,7 @@ func batchTag(key []byte) string {
 // deliberately no cross-shard prefix property — the documented relaxed
 // atomicity of cross-shard writes.)
 func TestStoreCrashRecoveryPerShard(t *testing.T) {
+	ctx := context.Background()
 	const shards = 4
 	dir := t.TempDir()
 	s, err := Open(dir, Options{
@@ -231,7 +246,7 @@ func TestStoreCrashRecoveryPerShard(t *testing.T) {
 				for j := 0; j < keysPer; j++ {
 					b.Put([]byte(fmt.Sprintf("%s-k%d", tag, j)), []byte(tag))
 				}
-				if err := s.Write(&b); err != nil {
+				if err := s.WriteContext(ctx, &b); err != nil {
 					writeErr.CompareAndSwap(nil, err)
 					return
 				}
@@ -307,7 +322,7 @@ func TestStoreCrashRecoveryPerShard(t *testing.T) {
 		for sh := range recovered {
 			recovered[sh] = make(map[string]int)
 		}
-		err = s2.Scan(func(k, v []byte) error {
+		err = s2.RangeContext(ctx, nil, nil, func(k, v []byte) error {
 			tag := batchTag(k)
 			if string(v) != tag {
 				return fmt.Errorf("key %s has value %q, want %q", k, v, tag)
@@ -349,6 +364,7 @@ func TestStoreCrashRecoveryPerShard(t *testing.T) {
 // memtables force constant flushes and per-shard background compactions
 // churn every shard's table set.
 func TestStoreRaceShards4(t *testing.T) {
+	ctx := context.Background()
 	// The 4 KiB per-shard memtable against 4 writers × 60 keys × ~300-byte
 	// values keeps every shard flushing (the key set splits 4 ways, and
 	// overwrites of live keys do not grow a memtable).
@@ -384,7 +400,7 @@ func TestStoreRaceShards4(t *testing.T) {
 				key := fmt.Sprintf("w%d-key-%03d", w, i%keysPer)
 				switch i % 7 {
 				case 3:
-					if err := s.Delete([]byte(key)); err != nil {
+					if err := s.DeleteContext(ctx, []byte(key)); err != nil {
 						fail(fmt.Errorf("writer %d delete: %w", w, err))
 						return
 					}
@@ -397,7 +413,7 @@ func TestStoreRaceShards4(t *testing.T) {
 					b.Put([]byte(key), []byte(v))
 					b.Put([]byte(k2), []byte(v))
 					b.Delete([]byte(k3))
-					if err := s.Write(&b); err != nil {
+					if err := s.WriteContext(ctx, &b); err != nil {
 						fail(fmt.Errorf("writer %d batch: %w", w, err))
 						return
 					}
@@ -405,7 +421,7 @@ func TestStoreRaceShards4(t *testing.T) {
 					delete(final, k3)
 				default:
 					v := fmt.Sprintf("w%d-val-%d-%s", w, i, pad)
-					if err := s.Put([]byte(key), []byte(v)); err != nil {
+					if err := s.PutContext(ctx, []byte(key), []byte(v)); err != nil {
 						fail(fmt.Errorf("writer %d put: %w", w, err))
 						return
 					}
@@ -421,7 +437,7 @@ func TestStoreRaceShards4(t *testing.T) {
 			defer auxWG.Done()
 			for i := 0; !stop.Load(); i++ {
 				key := fmt.Sprintf("w%d-key-%03d", i%writers, i%keysPer)
-				if _, err := s.Get([]byte(key)); err != nil && !errors.Is(err, lsm.ErrNotFound) {
+				if _, err := s.GetContext(ctx, []byte(key)); err != nil && !errors.Is(err, lsm.ErrNotFound) {
 					fail(fmt.Errorf("reader %d: %w", r, err))
 					return
 				}
@@ -433,7 +449,7 @@ func TestStoreRaceShards4(t *testing.T) {
 		defer auxWG.Done()
 		for !stop.Load() {
 			prev := ""
-			err := s.Scan(func(k, v []byte) error {
+			err := s.RangeContext(ctx, nil, nil, func(k, v []byte) error {
 				if string(k) <= prev {
 					return fmt.Errorf("scan out of order: %q after %q", k, prev)
 				}
@@ -465,7 +481,7 @@ func TestStoreRaceShards4(t *testing.T) {
 		for i := 0; i < keysPer; i++ {
 			key := fmt.Sprintf("w%d-key-%03d", w, i)
 			want, live := final[key]
-			got, err := s.Get([]byte(key))
+			got, err := s.GetContext(ctx, []byte(key))
 			switch {
 			case live && err != nil:
 				t.Fatalf("lost write: Get(%s) = %v, want %q", key, err, want)
@@ -480,14 +496,17 @@ func TestStoreRaceShards4(t *testing.T) {
 
 // TestStoreShardMarker covers the persisted-shard-count contract: the
 // count is fixed at creation, adopted on reopen with Shards=0, enforced on
-// mismatch, and an unsharded lsm.DB directory is refused.
+// mismatch; an unsharded lsm.DB directory is adopted as one shard but
+// never sharded over; and a fresh one-shard store is that same unsharded
+// layout.
 func TestStoreShardMarker(t *testing.T) {
+	ctx := context.Background()
 	dir := t.TempDir()
 	s, err := Open(dir, Options{Shards: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Put([]byte("k"), []byte("v")); err != nil {
+	if err := s.PutContext(ctx, []byte("k"), []byte("v")); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -504,7 +523,7 @@ func TestStoreShardMarker(t *testing.T) {
 	if s2.ShardCount() != 3 {
 		t.Fatalf("adopted %d shards, want 3", s2.ShardCount())
 	}
-	if v, err := s2.Get([]byte("k")); err != nil || string(v) != "v" {
+	if v, err := s2.GetContext(ctx, []byte("k")); err != nil || string(v) != "v" {
 		t.Fatalf("Get after adopt = %q, %v", v, err)
 	}
 	s2.Close()
@@ -534,10 +553,10 @@ func TestStoreShardMarker(t *testing.T) {
 	if legacy.ShardCount() != 1 {
 		t.Fatalf("legacy store adopted as %d shards", legacy.ShardCount())
 	}
-	if v, err := legacy.Get([]byte("k")); err != nil || string(v) != "v" {
+	if v, err := legacy.GetContext(ctx, []byte("k")); err != nil || string(v) != "v" {
 		t.Fatalf("Get through legacy adoption = %q, %v", v, err)
 	}
-	if err := legacy.Put([]byte("k2"), []byte("v2")); err != nil {
+	if err := legacy.PutContext(ctx, []byte("k2"), []byte("v2")); err != nil {
 		t.Fatal(err)
 	}
 	if err := legacy.Close(); err != nil {
@@ -553,6 +572,40 @@ func TestStoreShardMarker(t *testing.T) {
 	}
 	db.Close()
 
+	// A fresh one-shard store lives at the root: no marker, no shard-000/,
+	// plain lsm.Open reads its data, and sharding over it is refused.
+	for _, shards := range []int{0, 1} {
+		fresh := t.TempDir()
+		s, err := Open(fresh, Options{Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.PutContext(ctx, []byte("k"), []byte("fresh")); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range []string{markerName, "shard-000"} {
+			if _, err := os.Stat(filepath.Join(fresh, name)); !errors.Is(err, os.ErrNotExist) {
+				t.Fatalf("Shards=%d: fresh one-shard store has %s (stat err %v)", shards, name, err)
+			}
+		}
+		db, err := lsm.Open(fresh, lsm.Options{})
+		if err != nil {
+			t.Fatalf("Shards=%d: plain reopen of a one-shard store: %v", shards, err)
+		}
+		if v, err := db.Get([]byte("k")); err != nil || string(v) != "fresh" {
+			t.Fatalf("Shards=%d: plain Get of a one-shard store = %q, %v", shards, v, err)
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Open(fresh, Options{Shards: 2}); err == nil {
+			t.Fatalf("Shards=%d: sharding over a one-shard store accepted", shards)
+		}
+	}
+
 	if _, err := Open(t.TempDir(), Options{Shards: -1}); err == nil {
 		t.Fatal("negative shard count accepted")
 	}
@@ -564,6 +617,7 @@ func TestStoreShardMarker(t *testing.T) {
 // layout and replay the WAL — re-initializing the directory as a fresh
 // sharded store would silently lose the writes.
 func TestStoreAdoptsWALOnlyLegacyDB(t *testing.T) {
+	ctx := context.Background()
 	dir := t.TempDir()
 	db, err := lsm.Open(dir, lsm.Options{})
 	if err != nil {
@@ -587,7 +641,7 @@ func TestStoreAdoptsWALOnlyLegacyDB(t *testing.T) {
 	if s.ShardCount() != 1 {
 		t.Fatalf("WAL-only legacy store adopted as %d shards", s.ShardCount())
 	}
-	if v, err := s.Get([]byte("unflushed")); err != nil || string(v) != "survives" {
+	if v, err := s.GetContext(ctx, []byte("unflushed")); err != nil || string(v) != "survives" {
 		t.Fatalf("Get(unflushed) = %q, %v; WAL-only legacy data lost", v, err)
 	}
 }
@@ -596,13 +650,14 @@ func TestStoreAdoptsWALOnlyLegacyDB(t *testing.T) {
 // ShardStats exposes the breakdown, and that a cross-shard batch really
 // commits through multiple shard pipelines.
 func TestStoreStatsAggregation(t *testing.T) {
+	ctx := context.Background()
 	s := openStore(t, 4, lsm.Options{})
 	var b lsm.WriteBatch
 	const n = 64
 	for i := 0; i < n; i++ {
 		b.Put([]byte(fmt.Sprintf("key-%04d", i)), []byte("v"))
 	}
-	if err := s.Write(&b); err != nil {
+	if err := s.WriteContext(ctx, &b); err != nil {
 		t.Fatal(err)
 	}
 	st := s.Stats()
@@ -638,7 +693,7 @@ func TestStoreStatsAggregation(t *testing.T) {
 	// the tables' key range — key-range pruning rejects out-of-bounds keys
 	// before the Bloom filter is ever consulted.
 	for i := 0; i < 200; i++ {
-		if _, err := s.Get([]byte(fmt.Sprintf("key-%04d-absent", i))); !errors.Is(err, lsm.ErrNotFound) {
+		if _, err := s.GetContext(ctx, []byte(fmt.Sprintf("key-%04d-absent", i))); !errors.Is(err, lsm.ErrNotFound) {
 			t.Fatal(err)
 		}
 	}

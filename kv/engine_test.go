@@ -6,12 +6,18 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
+	"path/filepath"
 	"testing"
+
+	"repro/internal/lsm"
 )
 
 // backendCase builds a fresh engine of one backend flavor. The same test
-// suite runs against all three: the single-partition embedded engine, the
-// hash-sharded store, and a remote engine over a loopback server.
+// suite runs against all four: a one-shard embedded store ("lsm", the
+// name of the single-partition engine it replaced), a four-shard one
+// ("store"), a remote engine over a loopback server, and a replicated
+// cluster.
 type backendCase struct {
 	name string
 	open func(t *testing.T, opts ...Option) Engine
@@ -468,18 +474,37 @@ func TestEngineOpsAfterClose(t *testing.T) {
 			if _, err := eng.Get(ctx, []byte("k")); !errors.Is(err, ErrClosed) {
 				t.Errorf("Get = %v, want ErrClosed", err)
 			}
+			// Exactly ErrClosed, not one copy joined per shard.
+			closedOnly := func(op string, err error) {
+				t.Helper()
+				if !errors.Is(err, ErrClosed) || err.Error() != ErrClosed.Error() {
+					t.Errorf("%s = %v, want ErrClosed", op, err)
+				}
+			}
 			var b Batch
-			b.Put([]byte("k"), []byte("v"))
-			if err := eng.Write(ctx, &b); !errors.Is(err, ErrClosed) {
-				t.Errorf("Write = %v, want ErrClosed", err)
+			for i := 0; i < 8; i++ { // spans every shard of a sharded store
+				b.Put([]byte(fmt.Sprintf("k%d", i)), []byte("v"))
+			}
+			closedOnly("Write", eng.Write(ctx, &b))
+			closedOnly("Flush", eng.Flush(ctx))
+			_, err := eng.Compact(ctx, nil)
+			closedOnly("Compact", err)
+			// A second Close is idempotent on the remote backends and
+			// ErrClosed on an embedded one.
+			err = eng.Close()
+			if _, embedded := eng.(*localEngine); embedded {
+				closedOnly("second Close", err)
+			} else if err != nil {
+				t.Errorf("second Close = %v, want nil", err)
 			}
 		})
 	}
 }
 
 // TestEngineAdoptsExistingLayout: kv.Open with the default shard count
-// reopens whatever the directory holds — a plain single-partition layout
-// or a sharded store — and refuses a conflicting explicit count.
+// reopens whatever the directory holds — a plain single-partition layout,
+// a one-shard store in the older marker-plus-shard-000 layout, or a
+// sharded store — and refuses a conflicting explicit count.
 func TestEngineAdoptsExistingLayout(t *testing.T) {
 	ctx := context.Background()
 	t.Run("single partition", func(t *testing.T) {
@@ -503,8 +528,44 @@ func TestEngineAdoptsExistingLayout(t *testing.T) {
 			t.Fatalf("reopened single-partition Get = %q, %v", v, err)
 		}
 		st, _ := eng.Stats(ctx)
-		if st.Backend != "lsm" || st.Shards != 1 {
-			t.Fatalf("adopted backend = %s/%d, want lsm/1", st.Backend, st.Shards)
+		if st.Backend != "store" || st.Shards != 1 || st.PerShard != nil {
+			t.Fatalf("adopted backend = %s/%d (%d per-shard), want store/1 with no breakdown",
+				st.Backend, st.Shards, len(st.PerShard))
+		}
+		// The one shard lives at the root: no marker is written.
+		if _, err := os.Stat(filepath.Join(dir, "SHARDS")); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("single-partition engine wrote a shard marker (stat err %v)", err)
+		}
+	})
+	t.Run("one-shard store layout", func(t *testing.T) {
+		// A store created with one shard by older code: marker 1 plus
+		// shard-000/, built here by hand.
+		dir := t.TempDir()
+		db, err := lsm.Open(filepath.Join(dir, "shard-000"), lsm.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Put([]byte("k"), []byte("old")); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, "SHARDS"), []byte("1\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		eng, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v, err := eng.Get(ctx, []byte("k")); err != nil || string(v) != "old" {
+			t.Fatalf("reopened one-shard store Get = %q, %v", v, err)
+		}
+		if err := eng.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Open(dir, WithShards(2)); err == nil {
+			t.Fatal("Open with conflicting shard count succeeded")
 		}
 	})
 	t.Run("sharded store", func(t *testing.T) {

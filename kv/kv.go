@@ -1,19 +1,21 @@
 // Package kv is the public façade of the storage engine: one
 // context-aware Engine interface served by three interchangeable backends.
 //
-//   - Open(dir) returns an embedded engine — a single LSM partition, or a
-//     hash-sharded store of independent partitions with WithShards(n).
+//   - Open(dir) returns an embedded engine — a store of hash-partitioned
+//     LSM shards: one shard rooted at dir by default, n with
+//     WithShards(n).
 //   - Dial(addr) returns a client engine speaking the kvnet protocol to a
 //     remote server (itself started with NewServer over an Open engine).
+//   - DialCluster(addrs) returns a replicated quorum client over several
+//     such servers.
 //
 // Every operation takes a context.Context and honors cancellation at the
 // points where the engine can hold a caller: parked in the commit queue,
 // blocked in write-stall backpressure, draining a scan, or waiting on the
 // network. Errors are typed — ErrNotFound, ErrClosed, ErrStalled,
 // ErrBatchTooLarge, ErrCorrupt, ErrReadOnly — and compare with errors.Is
-// identically across all
-// three backends; the network layer carries them as wire codes and
-// rehydrates the same sentinels on the client side.
+// identically across all three backends; the network layer carries them
+// as wire codes and rehydrates the same sentinels on the client side.
 //
 // The paper's fast-compaction machinery (conf_icdcs_GhoshGGK15) sits
 // underneath: Compact runs a major compaction scheduled by any of the
@@ -92,8 +94,8 @@ type Engine interface {
 	Get(ctx context.Context, key []byte) ([]byte, error)
 	// Delete removes key. Deleting a missing key is not an error.
 	Delete(ctx context.Context, key []byte) error
-	// Write commits the batch atomically on the embedded single-partition
-	// engine and on a remote server backed by one; on a sharded store the
+	// Write commits the batch atomically on a one-shard embedded store
+	// and on a remote server backed by one; on a sharded store the
 	// batch is atomic per shard but has no cross-shard commit point.
 	// Atomicity covers durability (all-or-nothing crash recovery) and
 	// iterator/snapshot visibility; a point Get racing the commit may
@@ -219,13 +221,13 @@ type CompactionInfo struct {
 
 // Stats is a point-in-time snapshot of engine statistics. Fields the
 // backend cannot observe are zero: the remote backend reports only what
-// the wire protocol carries, and per-shard breakdowns exist only on the
-// sharded store.
+// the wire protocol carries, and per-shard breakdowns exist only on an
+// embedded store of more than one shard.
 type Stats struct {
-	// Backend identifies the engine flavor: "lsm", "store", "remote" or
-	// "cluster".
+	// Backend identifies the engine flavor: "store" (embedded), "remote"
+	// or "cluster".
 	Backend string `json:"backend"`
-	// Shards is the partition count (1 for a single embedded engine, 0
+	// Shards is the partition count (1 for a one-shard embedded store, 0
 	// when unknown on the remote backend).
 	Shards int `json:"shards,omitempty"`
 
@@ -294,7 +296,8 @@ type Stats struct {
 	BackgroundRetries  int `json:"background_retries,omitempty"`
 	BackgroundFailures int `json:"background_failures,omitempty"`
 
-	// PerShard is the per-shard breakdown on a sharded store.
+	// PerShard is the per-shard breakdown on an embedded store of more
+	// than one shard; each entry reports backend "lsm", one partition.
 	PerShard []Stats `json:"per_shard,omitempty"`
 
 	// Cluster is the replication health of a DialCluster engine (nil on

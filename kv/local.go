@@ -7,95 +7,39 @@ import (
 	"sync/atomic"
 
 	"repro/internal/iterator"
-	"repro/internal/kvnet"
-	"repro/internal/lsm"
 	"repro/internal/store"
 )
 
-// localBackend is the method surface shared by the two embedded engines,
-// *lsm.DB and *store.Store. Error values are already canonical (the
-// internal layers alias internal/kverr), so no translation happens here.
-type localBackend interface {
-	PutContext(ctx context.Context, key, value []byte) error
-	GetContext(ctx context.Context, key []byte) ([]byte, error)
-	DeleteContext(ctx context.Context, key []byte) error
-	WriteContext(ctx context.Context, b *lsm.WriteBatch) error
-	NewIterator(start, end []byte) (iterator.Iterator, func(), error)
-	Flush() error
-	MajorCompact(strategy string, k int, seed int64) (*lsm.CompactionResult, error)
-	Stats() lsm.Stats
-	Close() error
-}
-
-// localSnap is the snapshot surface shared by *lsm.Snapshot and
-// *store.Snapshot.
-type localSnap interface {
-	Get(key []byte) ([]byte, error)
-	NewIterator(start, end []byte) (iterator.Iterator, func(), error)
-	Release()
-}
-
-// localEngine adapts an embedded backend to the public Engine interface.
+// localEngine adapts the embedded store to the public Engine interface.
+// Error values are already canonical (the internal layers alias
+// internal/kverr), so no translation happens here.
 type localEngine struct {
-	b   localBackend
-	raw kvnet.Engine // the same object, for NewServer
-	// newSnap wraps the backend's concretely-typed Snapshot method.
-	newSnap func() (localSnap, error)
-	// shardStats is non-nil on the sharded store.
-	shardStats func() []lsm.Stats
-	backend    string // "lsm" or "store"
-	shards     int
-	cfg        config
-	closed     atomic.Bool
-	stats      *statsServer // nil unless WithStatsHandler
-}
-
-// newLocalEngine wires a backend into the façade; db and st are mutually
-// exclusive.
-func newLocalEngine(cfg config, db *lsm.DB, st *store.Store) *localEngine {
-	e := &localEngine{cfg: cfg}
-	if db != nil {
-		e.b, e.raw = db, db
-		e.backend, e.shards = "lsm", 1
-		e.newSnap = func() (localSnap, error) {
-			s, err := db.Snapshot()
-			if err != nil {
-				return nil, err
-			}
-			return s, nil
-		}
-	} else {
-		e.b, e.raw = st, st
-		e.backend, e.shards = "store", st.ShardCount()
-		e.newSnap = func() (localSnap, error) {
-			s, err := st.Snapshot()
-			if err != nil {
-				return nil, err
-			}
-			return s, nil
-		}
-		e.shardStats = st.ShardStats
-	}
-	return e
+	st     *store.Store
+	cfg    config
+	closed atomic.Bool
+	stats  *statsServer // nil unless WithStatsHandler
 }
 
 func (e *localEngine) Put(ctx context.Context, key, value []byte) error {
-	return e.b.PutContext(ctx, key, value)
+	return e.st.PutContext(ctx, key, value)
 }
 
 func (e *localEngine) Get(ctx context.Context, key []byte) ([]byte, error) {
-	return e.b.GetContext(ctx, key)
+	return e.st.GetContext(ctx, key)
 }
 
 func (e *localEngine) Delete(ctx context.Context, key []byte) error {
-	return e.b.DeleteContext(ctx, key)
+	return e.st.DeleteContext(ctx, key)
 }
 
 func (e *localEngine) Write(ctx context.Context, b *Batch) error {
 	if b == nil {
 		return nil
 	}
-	return e.b.WriteContext(ctx, &b.wb)
+	if e.closed.Load() {
+		return ErrClosed
+	}
+	return e.st.WriteContext(ctx, &b.wb)
 }
 
 func (e *localEngine) NewIterator(ctx context.Context, start, end []byte) (Iterator, error) {
@@ -109,7 +53,7 @@ func (e *localEngine) NewIterator(ctx context.Context, start, end []byte) (Itera
 	if start != nil && end != nil && bytes.Compare(start, end) >= 0 {
 		return emptyIterator{}, nil
 	}
-	it, release, err := e.b.NewIterator(start, end)
+	it, release, err := e.st.NewIterator(start, end)
 	if err != nil {
 		return nil, err
 	}
@@ -120,7 +64,7 @@ func (e *localEngine) Snapshot(ctx context.Context) (Snapshot, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	s, err := e.newSnap()
+	s, err := e.st.Snapshot()
 	if err != nil {
 		return nil, err
 	}
@@ -131,12 +75,18 @@ func (e *localEngine) Flush(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	return e.b.Flush()
+	if e.closed.Load() {
+		return ErrClosed
+	}
+	return e.st.Flush()
 }
 
 func (e *localEngine) Compact(ctx context.Context, opts *CompactOptions) (*CompactionInfo, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
+	}
+	if e.closed.Load() {
+		return nil, ErrClosed
 	}
 	strategy, k := e.cfg.compactStrategy, e.cfg.compactK
 	if opts != nil {
@@ -147,7 +97,7 @@ func (e *localEngine) Compact(ctx context.Context, opts *CompactOptions) (*Compa
 			k = opts.K
 		}
 	}
-	res, err := e.b.MajorCompact(strategy, k, 1)
+	res, err := e.st.MajorCompact(strategy, k, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -169,24 +119,25 @@ func (e *localEngine) Stats(ctx context.Context) (Stats, error) {
 	if e.closed.Load() {
 		return Stats{}, ErrClosed
 	}
-	if e.shardStats != nil {
-		per := e.shardStats()
-		st := statsFromLSM(store.Aggregate(per), e.backend, e.shards)
+	per := e.st.ShardStats()
+	st := statsFromLSM(store.Aggregate(per), "store", len(per))
+	if len(per) > 1 {
 		st.PerShard = make([]Stats, len(per))
 		for i, ss := range per {
 			st.PerShard[i] = statsFromLSM(ss, "lsm", 1)
 		}
-		return st, nil
 	}
-	return statsFromLSM(e.b.Stats(), e.backend, e.shards), nil
+	return st, nil
 }
 
 func (e *localEngine) Close() error {
-	e.closed.Store(true)
+	if e.closed.Swap(true) {
+		return ErrClosed
+	}
 	if e.stats != nil {
 		e.stats.Close()
 	}
-	return e.b.Close()
+	return e.st.Close()
 }
 
 // statsListenAddr exposes the stats endpoint's bound address; tests use it
@@ -307,9 +258,9 @@ func (emptyIterator) Next()         {}
 func (emptyIterator) Err() error    { return nil }
 func (emptyIterator) Close() error  { return nil }
 
-// localSnapshot adapts an embedded snapshot to the public interface.
+// localSnapshot adapts a store snapshot to the public interface.
 type localSnapshot struct {
-	s            localSnap
+	s            *store.Snapshot
 	engineClosed *atomic.Bool
 	released     atomic.Bool
 }

@@ -3,18 +3,19 @@ package kv
 import (
 	"fmt"
 
-	"repro/internal/lsm"
 	"repro/internal/store"
-	"repro/internal/vfs"
 )
 
-// Open opens (creating if necessary) an embedded engine rooted at dir.
-// With WithShards(n), n > 1, the key space hash-partitions over n
-// independent LSM shards under dir; with n <= 1 (or by default on a fresh
-// directory) the engine is a single LSM partition rooted at dir itself —
-// the same layout plain lsm.Open produces, so pre-façade directories open
+// Open opens (creating if necessary) an embedded engine rooted at dir: a
+// store of independent LSM shards with the key space hash-partitioned
+// over them. With WithShards(n), n > 1, shard i lives in dir/shard-NNN
+// under a SHARDS marker that fixes the count. With n <= 1 on a directory
+// without a marker, the engine is a single shard rooted at dir itself —
+// the layout of a bare LSM partition, so pre-façade directories open
 // unchanged. A directory that already holds a sharded store is adopted at
-// its persisted shard count when no explicit count is given.
+// its persisted shard count when no explicit count is given; a
+// conflicting count, or n > 1 over an unsharded directory holding data,
+// is refused.
 func Open(dir string, opts ...Option) (Engine, error) {
 	cfg := defaultConfig(entryOpen)
 	for _, opt := range opts {
@@ -22,39 +23,15 @@ func Open(dir string, opts ...Option) (Engine, error) {
 			return nil, err
 		}
 	}
-	sharded := cfg.shards > 1
-	if !sharded {
-		// Shards <= 1: adopt a persisted sharded layout if one exists (the
-		// store validates that its count matches an explicit request);
-		// otherwise this is a plain single-partition directory.
-		fsys := cfg.fs
-		if fsys == nil {
-			fsys = vfs.Default
-		}
-		existing, err := store.IsShardedFS(fsys, dir)
-		if err != nil {
-			return nil, err
-		}
-		sharded = existing
+	st, err := store.Open(dir, store.Options{Shards: cfg.shards, Options: cfg.lsmOptions()})
+	if err != nil {
+		return nil, err
 	}
-	var eng *localEngine
-	if sharded {
-		st, err := store.Open(dir, store.Options{Shards: cfg.shards, Options: cfg.lsmOptions()})
-		if err != nil {
-			return nil, err
-		}
-		eng = newLocalEngine(cfg, nil, st)
-	} else {
-		db, err := lsm.Open(dir, cfg.lsmOptions())
-		if err != nil {
-			return nil, err
-		}
-		eng = newLocalEngine(cfg, db, nil)
-	}
+	eng := &localEngine{st: st, cfg: cfg}
 	if cfg.statsAddr != "" {
 		stats, err := startStatsServer(cfg.statsAddr, eng)
 		if err != nil {
-			eng.b.Close()
+			st.Close()
 			return nil, err
 		}
 		eng.stats = stats

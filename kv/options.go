@@ -99,10 +99,10 @@ func openOnly(name string, f func(*config) error) Option {
 
 // WithShards partitions the key space over n independent engine shards,
 // each with its own WAL, commit pipeline and compaction (directory layout:
-// dir/shard-NNN). n == 1 opens a plain single-partition engine; n == 0
-// (the default) adopts whatever layout the directory already holds. The
-// shard count is fixed at creation — reopening an existing store with a
-// different count is an error.
+// dir/shard-NNN under a SHARDS marker). n == 1 opens one shard rooted at
+// dir itself, with no marker; n == 0 (the default) adopts whatever layout
+// the directory already holds. The shard count is fixed at creation —
+// reopening an existing store with a different count is an error.
 func WithShards(n int) Option {
 	return openOnly("WithShards", func(c *config) error {
 		if n < 0 {
